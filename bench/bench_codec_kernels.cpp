@@ -130,16 +130,10 @@ void reference_dequantize_block(const QuantizedBlock& qb,
 /// The pre-optimization decompress_block: fresh QuantizedBlock per call,
 /// per-element byte-loop checked reads, symbol-by-symbol reference
 /// ecq_decode, scalar dequantize loops.  Absolute bound mode (the
-/// paper's) only, which is all this bench runs.  When `dict` is
-/// non-null the payload is a v4 pattern section: the reference decoder
-/// performs the same serial dictionary pre-pass the shipped sequential
-/// decoder does (literal blocks define entries in block order), so the
-/// before/after rows measure identical work on v4 streams.
+/// paper's) only, which is all this bench runs.
 void reference_decompress_block(ByteLoopReader& r, const BlockSpec& spec,
                                 const Params& params,
-                                std::span<double> out,
-                                PatternDict* dict = nullptr,
-                                std::uint64_t ordinal = 0) {
+                                std::span<double> out) {
   if (r.read_bit()) {
     std::fill(out.begin(), out.end(), 0.0);
     return;
@@ -151,34 +145,7 @@ void reference_decompress_block(ByteLoopReader& r, const BlockSpec& spec,
   qb.spec.scale_binsize =
       std::ldexp(1.0, 1 - static_cast<int>(qb.spec.scale_bits));
   qb.pq.resize(spec.sub_block_size);
-  if (dict != nullptr) {
-    const auto tag =
-        static_cast<PatternCode>(r.read_bits(PatternDict::kTagBits));
-    switch (tag) {
-      case PatternCode::Literal:
-        for (auto& v : qb.pq) v = r.read_signed(qb.spec.pattern_bits);
-        dict->add_decoded(qb.pq, qb.spec.pattern_bits, ordinal);
-        break;
-      case PatternCode::ExactRef: {
-        const PatternDict::Entry& e = dict->entry(r.read_varint());
-        std::copy(e.pq.begin(), e.pq.end(), qb.pq.begin());
-        break;
-      }
-      case PatternCode::DeltaRef: {
-        const std::uint64_t id = r.read_varint();
-        const unsigned dev_bits = static_cast<unsigned>(r.read_bits(6));
-        const PatternDict::Entry& e = dict->entry(id);
-        for (std::size_t i = 0; i < qb.pq.size(); ++i) {
-          qb.pq[i] = e.pq[i] + r.read_signed(dev_bits);
-        }
-        break;
-      }
-      default:
-        throw std::runtime_error("corrupt pattern tag");
-    }
-  } else {
-    for (auto& v : qb.pq) v = r.read_signed(qb.spec.pattern_bits);
-  }
+  for (auto& v : qb.pq) v = r.read_signed(qb.spec.pattern_bits);
   qb.sq.resize(spec.num_sub_blocks);
   for (auto& v : qb.sq) v = r.read_signed(qb.spec.scale_bits);
   qb.ecb_max = static_cast<unsigned>(r.read_bits(6));
@@ -584,68 +551,6 @@ int main() {
     rows.push_back(row);
     std::printf("decode backend: %s\n",
                 simd::backend_name(simd::active_backend()));
-  }
-
-  // ---- Row 3b: v4 dict block decode, both sides with the dict pre-pass
-  {
-    const auto ds = bench::load_bench_dataset(
-        {"benzene", "(dd|dd)", 1296, 250, 1296});
-    const BlockSpec spec = bench::block_spec_of(ds);
-    Params params;
-    params.dict = DictMode::On;
-    const auto stream = compress(ds.values, spec, params);
-    const BlockReader reader(stream);
-    const std::size_t nb = reader.num_blocks();
-    const std::size_t bs = spec.block_size();
-    std::vector<double> out_before(bs), out_after(bs);
-
-    Row row{"full block decompress (dd|dd, v4 dict)"};
-    const auto payload = [&](std::size_t b) {
-      const BlockExtent& e = reader.index().extent(b);
-      return std::span<const std::uint8_t>(stream).subspan(e.offset,
-                                                           e.length);
-    };
-    // Before: the serial consumer of the pre-SIMD era -- per-block
-    // byte-loop reads with the dictionary built incrementally from the
-    // literal blocks as they decode.
-    row.before_s = bench::best_time_seconds(
-        [&] {
-          PatternDict dict;
-          for (std::size_t b = 0; b < nb; ++b) {
-            ByteLoopReader r{payload(b)};
-            reference_decompress_block(r, spec, params, out_before, &dict,
-                                       b);
-          }
-        },
-        reps);
-    // After: the shipped sequential path -- serial dictionary pre-pass
-    // over the pattern prefixes, then bulk-kernel block decode against
-    // the read-only context (same total work as the reference above).
-    row.after_s = bench::best_time_seconds(
-        [&] {
-          CodecContext ctx(reader.info(), /*num_threads=*/1);
-          for (std::size_t b = 0; b < nb; ++b) {
-            ctx.absorb_payload_prefix(payload(b), b);
-          }
-          CodecWorkspace& ws = *ctx.workspaces(1);
-          for (std::size_t b = 0; b < nb; ++b) {
-            bitio::BitReader r(payload(b));
-            decompress_block(ctx, r, out_after, ws);
-          }
-        },
-        reps);
-    // Both decoders must agree on the final block's values.
-    if (std::memcmp(out_before.data(), out_after.data(),
-                    bs * sizeof(double)) != 0) {
-      std::fprintf(stderr, "FATAL: v4 reference decode diverged\n");
-      return 1;
-    }
-    const double raw_bytes = static_cast<double>(nb * bs * sizeof(double));
-    row.gbps_before = raw_bytes / row.before_s / 1e9;
-    row.gbps_after = raw_bytes / row.after_s / 1e9;
-    row.symbols_per_s_before = static_cast<double>(nb * bs) / row.before_s;
-    row.symbols_per_s_after = static_cast<double>(nb * bs) / row.after_s;
-    rows.push_back(row);
   }
 
   // ---- Row 4: full block compress, multi-pass scalar vs fused SIMD ----

@@ -4,13 +4,12 @@
 //   $ pastri_tool compress   in.eri out.pastri [--eb 1e-10]
 //                            [--metric ER|FR|AR|AAR|IS]
 //                            [--tree 1..5] [--no-sparse]
-//                            [--dict on|off|auto]
 //                            [--chunk BYTES] [--threads N]
 //   $ pastri_tool decompress in.pastri out.eri [--chunk BYTES]
 //                            [--threads N]
 //   $ pastri_tool verify     in.eri in.pastri
 //   $ pastri_tool extract    in.pastri FIRST [COUNT]   # seek, don't scan
-//   $ pastri_tool inspect    in.pastri                 # index + dict stats
+//   $ pastri_tool inspect    in.pastri                 # index stats
 //
 // compress/decompress stream through fixed-size chunks (default 4 MiB):
 // peak memory is O(chunk), independent of the dataset size, and "-"
@@ -61,8 +60,7 @@ int usage() {
       stderr,
       "usage:\n"
       "  pastri_tool compress   IN.eri OUT.pastri [--eb E] [--metric M]"
-      " [--tree N] [--no-sparse] [--dict on|off|auto] [--chunk BYTES]"
-      " [--threads N]\n"
+      " [--tree N] [--no-sparse] [--chunk BYTES] [--threads N]\n"
       "  pastri_tool decompress IN.pastri OUT.eri [--chunk BYTES]"
       " [--threads N]\n"
       "  pastri_tool verify     IN.eri IN.pastri\n"
@@ -70,7 +68,7 @@ int usage() {
       "  pastri_tool inspect    IN.pastri\n"
       "  pastri_tool generate   MOLECULE CONFIG DIR BASENAME"
       " [--shards N] [--resume] [--sequential] [--producers N] [--eb E]"
-      " [--dict on|off|auto] [--blocks N] [--batch N] [--seed S]\n"
+      " [--blocks N] [--batch N] [--seed S]\n"
       "  pastri_tool serve-client HOST:PORT ping\n"
       "  pastri_tool serve-client HOST:PORT get-block STORE FIRST [COUNT]\n"
       "  pastri_tool serve-client HOST:PORT stats STORE\n"
@@ -94,13 +92,6 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(size));
   f.read(reinterpret_cast<char*>(data.data()), size);
   return data;
-}
-
-DictMode parse_dict_mode(const std::string& s) {
-  if (s == "on") return DictMode::On;
-  if (s == "off") return DictMode::Off;
-  if (s == "auto") return DictMode::Auto;
-  throw std::invalid_argument("--dict takes on|off|auto, got: " + s);
 }
 
 ScalingMetric parse_metric(const std::string& s) {
@@ -177,9 +168,6 @@ int cmd_compress(int argc, char** argv) {
     else if (a == "--tree" && next())
       p.tree = static_cast<EcqTree>(std::stoi(argv[i]));
     else if (a == "--no-sparse") p.allow_sparse = false;
-    else if (a == "--dict" && next()) p.dict = parse_dict_mode(argv[i]);
-    else if (a.rfind("--dict=", 0) == 0)
-      p.dict = parse_dict_mode(a.substr(7));
     else if (a == "--chunk" && next())
       chunk_bytes = std::stoull(argv[i]);
     else if (a == "--threads" && next()) p.num_threads = std::stoi(argv[i]);
@@ -236,13 +224,6 @@ int cmd_compress(int argc, char** argv) {
                st.blocks_by_type[0], st.blocks_by_type[1],
                st.blocks_by_type[2], st.blocks_by_type[3], st.num_outliers,
                st.sparse_blocks);
-  if (p.dict != DictMode::Off) {
-    std::fprintf(rpt,
-                 "dictionary: %zu entries, %zu exact + %zu delta refs, "
-                 "%zu bytes (incl. tags)\n",
-                 st.dict_entries, st.dict_exact_refs, st.dict_delta_refs,
-                 st.dict_bits / 8);
-  }
   return 0;
 }
 
@@ -381,7 +362,7 @@ int cmd_inspect(const char* in) {
   // Probe through the C API first: a malformed or truncated container
   // reports its status code and the thread's error message instead of an
   // unwound exception.  Decoding block 0 walks the whole frame -- header,
-  // index footer, offset table, and (v4) the dictionary section.
+  // index footer and offset table.
   size_t nsb = 0, sbs = 0, nb = 0;
   pastri_status st =
       pastri_peek(stream.data(), stream.size(), nullptr, &nsb, &sbs, &nb);
@@ -423,26 +404,6 @@ int cmd_inspect(const char* in) {
                         static_cast<double>(idx.num_blocks())
                   : 0.0,
               max_len);
-
-  if (const CodecContext* ctx = reader.dict_context()) {
-    const PatternDict& dict = ctx->dict();
-    std::printf("dictionary: %zu entries, %zu section bytes",
-                dict.size(), dict.section_bytes());
-    if (dict.size() > 0) {
-      std::size_t pattern_values = 0;
-      for (std::size_t id = 0; id < dict.size(); ++id) {
-        pattern_values += dict.entry(id).pq.size();
-      }
-      std::printf(" (first defined by block %llu, %zu pattern values "
-                  "shared)",
-                  static_cast<unsigned long long>(
-                      dict.entry(0).defining_block),
-                  pattern_values);
-    }
-    std::printf("\n");
-  } else {
-    std::printf("dictionary: none (v%u container)\n", info.version);
-  }
 
   // Resolved SIMD tier (what the probe decode above actually ran on)
   // plus per-tier availability, so a mis-dispatch -- e.g. AVX-512
@@ -487,7 +448,6 @@ int cmd_generate(int argc, char** argv) {
       popt.async_io = false;
     }
     else if (a == "--eb" && next()) p.error_bound = std::stod(argv[i]);
-    else if (a == "--dict" && next()) p.dict = parse_dict_mode(argv[i]);
     else if (a == "--blocks" && next())
       dopt.max_blocks = std::stoull(argv[i]);
     else if (a == "--batch" && next())

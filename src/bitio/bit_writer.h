@@ -114,6 +114,10 @@ class BitWriter {
     return bytes_;
   }
 
+  /// Pre-size the buffer for a stream of up to `bytes` bytes, so writes
+  /// within that size never reallocate.
+  void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
+
   /// Reset to an empty stream, retaining the buffer capacity.
   void restart() {
     bytes_.clear();

@@ -18,8 +18,7 @@ namespace pastri::capi {
 /// loses the text but never the status.
 pastri_status fail(pastri_status code, const char* what) noexcept;
 
-/// Translate the C parameter struct; throws std::invalid_argument on
-/// out-of-range enum fields (dict_mode).
+/// Translate the C parameter struct.
 pastri::Params to_cpp_params(const pastri_params& p);
 
 /// The calling thread's last error message (backs

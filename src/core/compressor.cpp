@@ -1,6 +1,5 @@
-// compressor.cpp - PaSTRI stream format, block codec stages, the
-// container-scoped CodecContext, the OpenMP block-parallel drivers, and
-// random access via BlockReader.
+// compressor.cpp - PaSTRI stream format, the block codec, the one-shot
+// drivers, and random access via BlockReader.
 //
 // Container layout (bit-exact), version 3:
 //   global header: magic u32, version u8, error_bound f64, mode u8,
@@ -11,23 +10,12 @@
 //                 payload offsets -- see block_index.h)
 //   footer: u64 table offset, u64 num_blocks, u32 "PIDX"
 // Version 2 (still readable) ends after the payloads.
-// Version 4 (pattern dictionary) inserts a dictionary section between
-// the payloads and the offset table and widens the footer:
-//   dict section: varint entry_count, then one varint defining-block
-//                 ordinal per entry (pattern bytes live only in the
-//                 defining payloads)
-//   footer: u64 dict offset, u64 table offset, u64 num_blocks, u32 "PID4"
 //
 //   per-block payload:
 //     1 bit  zero-block flag (all |x| <= EB -> nothing else follows)
 //     12 bits biased exponent of the per-block bound (BlockRelative only)
 //     6 bits P_b
-//     [v4 only] 2 bits pattern tag:
-//       0 literal: SB_size * P_b bits PQ (defines the next dict entry)
-//       1 exact ref: varint entry id
-//       2 delta ref: varint entry id, 6 bits dev width D, SB_size * D
-//         bits signed deviations (PQ[i] = base[i] + dev[i])
-//     [v2/v3] SB_size * P_b bits   PQ (two's complement)
+//     SB_size * P_b bits   PQ (two's complement)
 //     num_SB  * P_b bits   SQ (S_b = P_b, Section IV-B)
 //     6 bits EC_b,max
 //     if EC_b,max >= 2:
@@ -38,15 +26,10 @@
 // Blocks are independent byte-aligned units -- the property that makes
 // PaSTRI "highly parallelizable ... each block compressed and
 // decompressed completely independent from each other" (Section IV-C).
-// The v4 dictionary preserves this for decode: the dictionary is
-// populated up-front (BlockReader, from the trailer) or by a serial
-// prefix scan ahead of each batch (StreamConsumer), after which block
-// decodes only read it.
 #include <omp.h>
 
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -81,12 +64,6 @@ struct CoreMetrics {
       obs::registry().counter(obs::kCoreEcqDenseSymbols);
   obs::Counter encode_bytes =
       obs::registry().counter(obs::kCoreEncodeBytes);
-  obs::Counter dict_literals =
-      obs::registry().counter(obs::kCoreDictLiterals);
-  obs::Counter dict_exact_refs =
-      obs::registry().counter(obs::kCoreDictExactRefs);
-  obs::Counter dict_delta_refs =
-      obs::registry().counter(obs::kCoreDictDeltaRefs);
 };
 
 const CoreMetrics& core_metrics() {
@@ -185,23 +162,20 @@ BlockEncoding plan_block(const QuantizedBlock& qb, const BlockSpec& spec,
   return enc;
 }
 
-/// Valid deviation widths for DeltaRef pattern sections: the encoder
-/// never emits a width at or above P_b (a literal would be cheaper), and
-/// P_b itself is capped at 54 (quantize.h), so anything wider is
-/// corruption.
-bool valid_dev_bits(unsigned dev_bits) {
-  return dev_bits >= 1 && dev_bits <= 54;
-}
+// ---- Block-level encode -------------------------------------------------
+//
+// The block encode runs in two stages: quantize (bound plan + pattern
+// selection + quantization into `ws.quantized`, untouched for zero
+// blocks) and serialize (emit the payload bits of the planned block).
 
-}  // namespace
-
-// ---- Codec stages (shared by the stateless codec and the drivers) ------
-
-namespace detail {
+struct BlockPlan {
+  bool zero = false;
+  double eb = 0.0;
+};
 
 BlockPlan quantize_stage(std::span<const double> block,
                          const BlockSpec& spec, const Params& params,
-                         CodecWorkspace& ws, QuantizedBlock& qb) {
+                         CodecWorkspace& ws) {
   assert(block.size() == spec.block_size());
   const CoreMetrics& metrics = core_metrics();
   metrics.blocks_encoded.inc();
@@ -247,6 +221,7 @@ BlockPlan quantize_stage(std::span<const double> block,
 
   {
     obs::ScopedTimer timer(metrics.quantize_ns);
+    QuantizedBlock& qb = ws.quantized;
     if (er_fused) {
       quantize_block_with_extremum(block, spec, sel, plan.eb,
                                    pattern_extremum, qb, ws.p_hat,
@@ -259,10 +234,8 @@ BlockPlan quantize_stage(std::span<const double> block,
 }
 
 void serialize_stage(const BlockSpec& spec, const Params& params,
-                     bool dict_stream, const PatternDict* dict,
-                     const PatternDecision* dec, const BlockPlan& plan,
-                     const QuantizedBlock& qb, bitio::BitWriter& w,
-                     Stats* stats) {
+                     const BlockPlan& plan, const QuantizedBlock& qb,
+                     bitio::BitWriter& w, Stats* stats) {
   const CoreMetrics& metrics = core_metrics();
   const std::size_t start_bits = w.bit_count();
 
@@ -285,41 +258,7 @@ void serialize_stage(const BlockSpec& spec, const Params& params,
   const BlockEncoding enc = plan_block(qb, spec, params, false);
 
   w.write_bits(qb.spec.pattern_bits, 6);
-  std::size_t dict_bits = 0;
-  bool literal_pattern = true;
-  if (dict_stream) {
-    const PatternDecision d = dec ? *dec : PatternDecision{};
-    const std::size_t before = w.bit_count();
-    w.write_bits(static_cast<std::uint64_t>(d.code),
-                 PatternDict::kTagBits);
-    switch (d.code) {
-      case PatternCode::Literal:
-        w.write_signed_run(qb.pq, qb.spec.pattern_bits);
-        dict_bits = PatternDict::kTagBits;
-        metrics.dict_literals.inc();
-        break;
-      case PatternCode::ExactRef:
-        bitio::write_varint(w, d.ref);
-        dict_bits = w.bit_count() - before;
-        literal_pattern = false;
-        metrics.dict_exact_refs.inc();
-        break;
-      case PatternCode::DeltaRef: {
-        bitio::write_varint(w, d.ref);
-        w.write_bits(d.dev_bits, 6);
-        const std::vector<std::int64_t>& base = dict->entry(d.ref).pq;
-        for (std::size_t i = 0; i < qb.pq.size(); ++i) {
-          w.write_signed(qb.pq[i] - base[i], d.dev_bits);
-        }
-        dict_bits = w.bit_count() - before;
-        literal_pattern = false;
-        metrics.dict_delta_refs.inc();
-        break;
-      }
-    }
-  } else {
-    w.write_signed_run(qb.pq, qb.spec.pattern_bits);
-  }
+  w.write_signed_run(qb.pq, qb.spec.pattern_bits);
   w.write_signed_run(qb.sq, qb.spec.scale_bits);
   w.write_bits(qb.ecb_max, 6);
 
@@ -348,84 +287,29 @@ void serialize_stage(const BlockSpec& spec, const Params& params,
 
   if (stats) {
     ++stats->blocks_by_type[block_type(qb.ecb_max)];
-    if (literal_pattern) {
-      stats->pattern_bits += spec.sub_block_size * qb.spec.pattern_bits;
-    }
+    stats->pattern_bits += spec.sub_block_size * qb.spec.pattern_bits;
     stats->scale_bits += spec.num_sub_blocks * qb.spec.scale_bits;
     stats->ecq_bits += ecq_bits;
-    stats->dict_bits += dict_bits;
     stats->header_bits +=
         1 + 6 + 6 + (qb.ecb_max >= 2 ? 1 : 0) +
         (params.bound_mode == BoundMode::BlockRelative ? 12 : 0);
     stats->sparse_blocks += enc.sparse ? 1 : 0;
     stats->num_outliers += qb.num_outliers;
-    if (dict_stream && dec) {
-      stats->dict_entries += dec->defined ? 1 : 0;
-      stats->dict_exact_refs += dec->code == PatternCode::ExactRef ? 1 : 0;
-      stats->dict_delta_refs += dec->code == PatternCode::DeltaRef ? 1 : 0;
-    }
   }
 }
 
-}  // namespace detail
+}  // namespace
 
-// ---- CodecContext -------------------------------------------------------
-
-CodecContext::CodecContext(const BlockSpec& spec, const Params& params)
-    : spec_(spec), params_(params) {
-  spec_.validate();
-  params_.validate();
-  dict_on_ =
-      params_.dict == DictMode::On ||
-      (params_.dict == DictMode::Auto && spec_.sub_block_size >= 8);
+void CodecWorkspace::reserve(const BlockSpec& spec) {
+  selection.scales.reserve(spec.num_sub_blocks);
+  quantized.pq.reserve(spec.sub_block_size);
+  quantized.sq.reserve(spec.num_sub_blocks);
+  quantized.ecq.reserve(spec.block_size());
+  p_hat.reserve(spec.sub_block_size);
+  s_hat.reserve(spec.num_sub_blocks);
+  metric_scratch.reserve(spec.num_sub_blocks);
+  writer.reserve(detail::max_block_payload_bytes(spec));
 }
-
-CodecContext::CodecContext(const StreamInfo& info, int num_threads)
-    : spec_(info.spec), params_(info.to_params()) {
-  params_.num_threads = num_threads;
-  dict_on_ = info.version >= kStreamVersionDict;
-}
-
-CodecWorkspace* CodecContext::workspaces(std::size_t n) {
-  if (workspaces_.size() < n) workspaces_.resize(n);
-  return workspaces_.data();
-}
-
-bool CodecContext::absorb_payload_prefix(
-    std::span<const std::uint8_t> payload, std::uint64_t block_ordinal) {
-  if (!dict_on_) return false;
-  bitio::BitReader r(payload);
-  if (r.read_bit()) return false;  // zero block: no pattern section
-  if (params_.bound_mode == BoundMode::BlockRelative) r.skip_bits(12);
-  const unsigned pattern_bits = static_cast<unsigned>(r.read_bits(6));
-  if (pattern_bits == 0 || pattern_bits > 54) {
-    throw std::runtime_error("PaSTRI: corrupt P_b field");
-  }
-  const auto tag =
-      static_cast<PatternCode>(r.read_bits(PatternDict::kTagBits));
-  switch (tag) {
-    case PatternCode::Literal:
-      absorb_pq_.resize(spec_.sub_block_size);
-      r.read_signed_run(pattern_bits, absorb_pq_);
-      return dict_.add_decoded(absorb_pq_, pattern_bits, block_ordinal);
-    case PatternCode::ExactRef:
-      bitio::read_varint(r);
-      return false;
-    case PatternCode::DeltaRef: {
-      bitio::read_varint(r);
-      const unsigned dev_bits = static_cast<unsigned>(r.read_bits(6));
-      if (!valid_dev_bits(dev_bits)) {
-        throw std::runtime_error("PaSTRI: corrupt deviation width");
-      }
-      r.skip_bits(spec_.sub_block_size * dev_bits);
-      return false;
-    }
-    default:
-      throw std::runtime_error("PaSTRI: corrupt pattern tag");
-  }
-}
-
-// ---- Block-level encode -------------------------------------------------
 
 void compress_block(std::span<const double> block, const BlockSpec& spec,
                     const Params& params, bitio::BitWriter& w, Stats* stats) {
@@ -435,58 +319,31 @@ void compress_block(std::span<const double> block, const BlockSpec& spec,
 void compress_block(std::span<const double> block, const BlockSpec& spec,
                     const Params& params, bitio::BitWriter& w, Stats* stats,
                     CodecWorkspace& ws) {
-  // Stateless path: always the dictionary-free (v2/v3) payload layout,
-  // whatever params.dict says -- per-block state cannot span a container.
-  const detail::BlockPlan plan =
-      detail::quantize_stage(block, spec, params, ws, ws.quantized);
-  detail::serialize_stage(spec, params, /*dict_stream=*/false, nullptr,
-                          nullptr, plan, ws.quantized, w, stats);
-}
-
-void compress_block(CodecContext& ctx, std::span<const double> block,
-                    bitio::BitWriter& w, Stats* stats) {
-  compress_block(ctx, block, w, stats, tls_workspace());
-}
-
-void compress_block(CodecContext& ctx, std::span<const double> block,
-                    bitio::BitWriter& w, Stats* stats, CodecWorkspace& ws) {
-  const detail::BlockPlan plan = detail::quantize_stage(
-      block, ctx.spec(), ctx.params(), ws, ws.quantized);
-  if (!ctx.dict_enabled()) {
-    detail::serialize_stage(ctx.spec(), ctx.params(), false, nullptr,
-                            nullptr, plan, ws.quantized, w, stats);
-    return;
-  }
-  const std::uint64_t ordinal = ctx.advance_ordinal();
-  PatternDecision dec;
-  if (!plan.zero) {
-    dec = ctx.dict().decide_and_commit(
-        ws.quantized.pq, ws.quantized.spec.pattern_bits, ordinal);
-  }
-  detail::serialize_stage(ctx.spec(), ctx.params(), true, &ctx.dict(),
-                          &dec, plan, ws.quantized, w, stats);
+  const BlockPlan plan = quantize_stage(block, spec, params, ws);
+  serialize_stage(spec, params, plan, ws.quantized, w, stats);
 }
 
 // ---- Block-level decode -------------------------------------------------
 
-namespace {
+void decompress_block(bitio::BitReader& r, const BlockSpec& spec,
+                      const Params& params, std::span<double> out) {
+  decompress_block(r, spec, params, out, tls_workspace());
+}
 
 // Two-stage decode (see DESIGN.md §9): the serial entropy stage walks
 // the payload header and the variable-length ECQ symbols, while every
-// fixed-width array -- PQ, SQ, DeltaRef deviations, sparse-ECQ records
-// -- is bounds-checked once (`require_bits`) and then unpacked in bulk
-// by the active simd::DecodeKernels, which also run the dictionary
-// base apply, the sparse scatter, and the final reconstruction
-// multiply-add.  All backends are bit-exact, and every corrupt-stream
-// exception of the serial decoder is preserved: truncation throws
-// std::out_of_range from the hoisted bounds check, domain corruption
-// ("corrupt P_b", "corrupt outlier index", ...) throws from the same
-// validations as before, just after the bulk read instead of inside a
-// per-value loop.
-void decompress_block_impl(const BlockSpec& spec, const Params& params,
-                           bool dict_stream, const PatternDict* dict,
-                           bitio::BitReader& r, std::span<double> out,
-                           CodecWorkspace& ws) {
+// fixed-width array -- PQ, SQ, sparse-ECQ records -- is bounds-checked
+// once (`require_bits`) and then unpacked in bulk by the active
+// simd::DecodeKernels, which also run the sparse scatter and the final
+// reconstruction multiply-add.  All backends are bit-exact, and every
+// corrupt-stream exception of the serial decoder is preserved: truncation
+// throws std::out_of_range from the hoisted bounds check, domain
+// corruption ("corrupt P_b", "corrupt outlier index", ...) throws from the
+// same validations as before, just after the bulk read instead of inside
+// a per-value loop.
+void decompress_block(bitio::BitReader& r, const BlockSpec& spec,
+                      const Params& params, std::span<double> out,
+                      CodecWorkspace& ws) {
   assert(out.size() == spec.block_size());
   const CoreMetrics& metrics = core_metrics();
   metrics.blocks_decoded.inc();
@@ -522,50 +379,7 @@ void decompress_block_impl(const BlockSpec& spec, const Params& params,
       std::ldexp(1.0, 1 - static_cast<int>(qb.spec.scale_bits));
 
   qb.pq.resize(spec.sub_block_size);
-  if (dict_stream) {
-    const auto tag =
-        static_cast<PatternCode>(r.read_bits(PatternDict::kTagBits));
-    switch (tag) {
-      case PatternCode::Literal:
-        bulk_signed_run(qb.spec.pattern_bits, qb.pq);
-        break;
-      case PatternCode::ExactRef: {
-        const std::uint64_t id = bitio::read_varint(r);
-        const PatternDict::Entry& e = dict->entry(id);
-        if (e.pattern_bits != qb.spec.pattern_bits ||
-            e.pq.size() != spec.sub_block_size) {
-          throw std::runtime_error(
-              "PaSTRI: dictionary reference mismatch");
-        }
-        std::memcpy(qb.pq.data(), e.pq.data(),
-                    e.pq.size() * sizeof(std::int64_t));
-        break;
-      }
-      case PatternCode::DeltaRef: {
-        const std::uint64_t id = bitio::read_varint(r);
-        const unsigned dev_bits = static_cast<unsigned>(r.read_bits(6));
-        if (!valid_dev_bits(dev_bits)) {
-          throw std::runtime_error("PaSTRI: corrupt deviation width");
-        }
-        const PatternDict::Entry& e = dict->entry(id);
-        if (e.pattern_bits != qb.spec.pattern_bits ||
-            e.pq.size() != spec.sub_block_size) {
-          throw std::runtime_error(
-              "PaSTRI: dictionary reference mismatch");
-        }
-        // The deviations land in pq, then the base is added in place.
-        bulk_signed_run(dev_bits, qb.pq);
-        dk.apply_base_i64(qb.pq.data(), e.pq.data(), qb.pq.size());
-        break;
-      }
-      default:
-        throw std::runtime_error("PaSTRI: corrupt pattern tag");
-    }
-  } else {
-    // Fixed-width PQ run: one hoisted bounds check, then the bulk
-    // unpack kernel.
-    bulk_signed_run(qb.spec.pattern_bits, qb.pq);
-  }
+  bulk_signed_run(qb.spec.pattern_bits, qb.pq);
   qb.sq.resize(spec.num_sub_blocks);
   bulk_signed_run(qb.spec.scale_bits, qb.sq);
 
@@ -621,31 +435,6 @@ void decompress_block_impl(const BlockSpec& spec, const Params& params,
                  qb.spec.pattern_binsize, qb.spec.scale_binsize,
                  qb.spec.ec_binsize, qb.spec.pattern_bits, qb.ecb_max,
                  ws.p_hat.data(), out.data());
-}
-
-}  // namespace
-
-void decompress_block(bitio::BitReader& r, const BlockSpec& spec,
-                      const Params& params, std::span<double> out) {
-  decompress_block(r, spec, params, out, tls_workspace());
-}
-
-void decompress_block(bitio::BitReader& r, const BlockSpec& spec,
-                      const Params& params, std::span<double> out,
-                      CodecWorkspace& ws) {
-  decompress_block_impl(spec, params, /*dict_stream=*/false, nullptr, r,
-                        out, ws);
-}
-
-void decompress_block(const CodecContext& ctx, bitio::BitReader& r,
-                      std::span<double> out) {
-  decompress_block(ctx, r, out, tls_workspace());
-}
-
-void decompress_block(const CodecContext& ctx, bitio::BitReader& r,
-                      std::span<double> out, CodecWorkspace& ws) {
-  decompress_block_impl(ctx.spec(), ctx.params(), ctx.dict_enabled(),
-                        &ctx.dict(), r, out, ws);
 }
 
 BlockAnalysis analyze_block(std::span<const double> block,
@@ -726,35 +515,7 @@ BlockReader::BlockReader(std::span<const std::uint8_t> stream,
   // Every header field is a whole number of bytes, so the payloads start
   // at the fixed header size regardless of which ctor parsed it.
   const std::size_t payload_base = detail::kGlobalHeaderBytes;
-  if (info_.version >= kStreamVersionDict) {
-    const detail::DictFooter footer = detail::read_dict_footer(stream_);
-    if (footer.num_blocks != info_.num_blocks) {
-      throw std::runtime_error(
-          "PaSTRI: dictionary footer block count disagrees with header");
-    }
-    const std::size_t table_end =
-        stream_.size() - detail::kDictFooterBytes;
-    index_ = BlockIndex::parse(
-        stream_.subspan(footer.index_offset,
-                        table_end - footer.index_offset),
-        payload_base, footer.dict_offset, info_.num_blocks);
-    // Pre-decode all dictionary bases: the trailer lists which blocks
-    // defined entries (in id order), the index locates their payloads.
-    auto ctx = std::make_shared<CodecContext>(info_, num_threads);
-    const std::vector<std::uint64_t> ordinals = PatternDict::parse_section(
-        stream_.subspan(footer.dict_offset,
-                        footer.index_offset - footer.dict_offset),
-        info_.num_blocks);
-    for (const std::uint64_t ordinal : ordinals) {
-      const BlockExtent& e = index_.extent(ordinal);
-      if (!ctx->absorb_payload_prefix(
-              stream_.subspan(e.offset, e.length), ordinal)) {
-        throw std::runtime_error(
-            "PaSTRI: dictionary defining block is not a literal");
-      }
-    }
-    dict_ctx_ = std::move(ctx);
-  } else if (info_.version >= kStreamVersionIndexed) {
+  if (info_.version >= kStreamVersionIndexed) {
     const detail::IndexFooter footer = detail::read_index_footer(stream_);
     if (footer.num_blocks != info_.num_blocks) {
       throw std::runtime_error(
@@ -780,11 +541,7 @@ void BlockReader::read_block(std::size_t block,
   }
   const BlockExtent& e = index_.extent(block);
   bitio::BitReader r(stream_.subspan(e.offset, e.length));
-  if (dict_ctx_) {
-    decompress_block(*dict_ctx_, r, out);
-  } else {
-    decompress_block(r, info_.spec, params_, out);
-  }
+  decompress_block(r, info_.spec, params_, out);
 }
 
 std::vector<double> BlockReader::read_block(std::size_t block) const {

@@ -1,13 +1,15 @@
-// format_detail.h - Internal stream-format constants, global-header and
-// index-footer (de)serialization, and container assembly shared by the
-// one-shot (compressor.cpp) and streaming (stream.cpp) drivers.  Not
-// part of the public API.
+// format_detail.h - Internal stream-format constants and global-header
+// and index-footer (de)serialization shared by the one-shot
+// (compressor.cpp) and streaming (stream.cpp) drivers.  Not part of the
+// public API.
 #pragma once
 
 #include <omp.h>
 
+#include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bitio/bit_reader.h"
@@ -22,19 +24,15 @@ inline constexpr std::uint32_t kMagic = 0x52545350;  // "PSTR"
 
 /// Container versions.  v2 is the original layout (header + varint-length
 /// prefixed payloads, nothing else); v3 appends the per-block offset
-/// table plus a footer locating it; v4 adds the pattern dictionary
-/// (tagged pattern sections, a trailer dictionary section, an extended
-/// footer).  All decode; writers emit v3 (dict off) or v4 (dict on).
+/// table plus a footer locating it.  Both decode; writers emit v3.
 inline constexpr std::uint8_t kVersionUnindexed = kStreamVersionUnindexed;
 inline constexpr std::uint8_t kVersion = kStreamVersionIndexed;
-inline constexpr std::uint8_t kVersionDict = kStreamVersionDict;
 
 inline void write_global_header(bitio::BitWriter& w, const BlockSpec& spec,
                                 const Params& params,
-                                std::uint64_t num_blocks,
-                                std::uint8_t version = kVersion) {
+                                std::uint64_t num_blocks) {
   w.write_bits(kMagic, 32);
-  w.write_bits(version, 8);
+  w.write_bits(kVersion, 8);
   w.write_raw(params.error_bound);
   w.write_bits(static_cast<std::uint64_t>(params.bound_mode), 8);
   w.write_bits(static_cast<std::uint64_t>(params.metric), 8);
@@ -49,9 +47,9 @@ inline StreamInfo read_global_header(bitio::BitReader& r) {
     throw std::runtime_error("PaSTRI: bad stream magic");
   }
   const std::uint64_t version = r.read_bits(8);
-  if (version != kVersion && version != kVersionUnindexed &&
-      version != kVersionDict) {
-    throw std::runtime_error("PaSTRI: unsupported stream version");
+  if (version != kVersion && version != kVersionUnindexed) {
+    throw std::runtime_error("PaSTRI: unsupported stream version " +
+                             std::to_string(version));
   }
   StreamInfo info;
   info.version = static_cast<unsigned>(version);
@@ -85,6 +83,18 @@ inline constexpr std::size_t kHeaderNumBlocksOffset =
 /// thread count, shared by every block-parallel driver.
 inline int resolve_threads(int num_threads) {
   return num_threads > 0 ? num_threads : omp_get_max_threads();
+}
+
+/// Upper bound on one block's payload bytes: a valid block never exceeds
+/// ~16 bytes per value plus per-sub-block metadata.  Decoders reject a
+/// larger declared length as corruption; encoders size their bit staging
+/// by it so no block ever grows the buffer.
+inline std::size_t max_block_payload_bytes(const BlockSpec& spec) {
+  const std::size_t bs = spec.block_size();
+  if (bs > (std::numeric_limits<std::size_t>::max() >> 5)) {
+    return std::numeric_limits<std::size_t>::max();
+  }
+  return 16 * bs + 7 * (spec.num_sub_blocks + spec.sub_block_size) + 64;
 }
 
 // ---- v3 index footer ----------------------------------------------------
@@ -141,98 +151,5 @@ inline IndexFooter read_index_footer(std::span<const std::uint8_t> stream) {
   return parse_index_footer(
       stream.subspan(stream.size() - kIndexFooterBytes), stream.size());
 }
-
-// ---- v4 dictionary footer -----------------------------------------------
-//
-// The v4 trailer is: payloads, dictionary section, offset table, then
-// this fixed footer:
-//   u64 dict_offset    absolute byte offset of the dictionary section
-//   u64 index_offset   absolute byte offset of the offset table
-//   u64 num_blocks     must match the global header
-//   u32 kDictFooterMagic ("PID4")
-// Payloads tile [kGlobalHeaderBytes, dict_offset), the dictionary
-// section is [dict_offset, index_offset), the table runs up to the
-// footer.  A distinct magic keeps v3 readers from misparsing the wider
-// footer as their own.
-
-inline constexpr std::uint32_t kDictFooterMagic = 0x34444950;  // "PID4"
-inline constexpr std::size_t kDictFooterBytes = 8 + 8 + 8 + 4;
-
-struct DictFooter {
-  std::uint64_t dict_offset = 0;
-  std::uint64_t index_offset = 0;
-  std::uint64_t num_blocks = 0;
-};
-
-inline void write_dict_footer(bitio::BitWriter& w, const DictFooter& f) {
-  w.write_bits(f.dict_offset, 64);
-  w.write_bits(f.index_offset, 64);
-  w.write_bits(f.num_blocks, 64);
-  w.write_bits(kDictFooterMagic, 32);
-}
-
-inline DictFooter parse_dict_footer(std::span<const std::uint8_t> tail,
-                                    std::size_t stream_size) {
-  if (tail.size() != kDictFooterBytes ||
-      stream_size < kGlobalHeaderBytes + kDictFooterBytes) {
-    throw std::runtime_error(
-        "PaSTRI: stream too short for dictionary footer");
-  }
-  bitio::BitReader r(tail);
-  DictFooter f;
-  f.dict_offset = r.read_bits(64);
-  f.index_offset = r.read_bits(64);
-  f.num_blocks = r.read_bits(64);
-  if (r.read_bits(32) != kDictFooterMagic) {
-    throw std::runtime_error("PaSTRI: bad dictionary footer magic");
-  }
-  if (f.dict_offset < kGlobalHeaderBytes ||
-      f.dict_offset > f.index_offset ||
-      f.index_offset > stream_size - kDictFooterBytes) {
-    throw std::runtime_error(
-        "PaSTRI: dictionary footer offsets out of range");
-  }
-  return f;
-}
-
-inline DictFooter read_dict_footer(std::span<const std::uint8_t> stream) {
-  if (stream.size() < kGlobalHeaderBytes + kDictFooterBytes) {
-    throw std::runtime_error(
-        "PaSTRI: stream too short for dictionary footer");
-  }
-  return parse_dict_footer(
-      stream.subspan(stream.size() - kDictFooterBytes), stream.size());
-}
-
-// ---- Shared codec stages (compressor.cpp) -------------------------------
-//
-// The block encode splits into a parallel-safe quantize stage and a
-// serialize stage so StreamWriter's dictionary pipeline can interleave
-// the serial dictionary decisions between them (quantize in parallel,
-// decide in append order, serialize in parallel).  The stateless
-// compress_block runs the two back to back; with a null decision the
-// serializer emits the dictionary-free (v2/v3) pattern section.
-
-struct BlockPlan {
-  bool zero = false;
-  double eb = 0.0;
-};
-
-/// Stage 1: bound plan + pattern selection + quantization into `qb`
-/// (untouched for zero blocks).  Uses only `ws` scratch -- safe to run
-/// concurrently on distinct workspaces.
-BlockPlan quantize_stage(std::span<const double> block,
-                         const BlockSpec& spec, const Params& params,
-                         CodecWorkspace& ws, QuantizedBlock& qb);
-
-/// Stage 2 (serialize): emit the payload bits for one planned block.
-/// `dict_stream` selects the v4 payload layout (2-bit pattern tag);
-/// `dict` resolves DeltaRef bases and `dec` carries the stage-between
-/// decision (both null on v2/v3 streams, where the PQ run is inline).
-void serialize_stage(const BlockSpec& spec, const Params& params,
-                     bool dict_stream, const PatternDict* dict,
-                     const PatternDecision* dec, const BlockPlan& plan,
-                     const QuantizedBlock& qb, bitio::BitWriter& w,
-                     Stats* stats);
 
 }  // namespace pastri::detail

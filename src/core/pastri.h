@@ -21,34 +21,26 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/block_index.h"
 #include "core/block_spec.h"
 #include "core/ecq_tree.h"
-#include "core/pattern_dict.h"
 #include "core/quantize.h"
 #include "core/scaling.h"
 
 namespace pastri {
 
-class CodecContext;  // container-scoped codec state, declared below
-
 /// Container version bytes (the 5th stream byte).  v2 is the original
 /// layout: global header + varint-length prefixed payloads.  v3 appends
 /// a per-block offset table and a footer locating it, making every block
-/// seekable in O(1).  v4 adds the cross-block pattern dictionary: a
-/// 2-bit pattern tag per non-zero block, a dictionary section in the
-/// trailer, and an extended footer.  The compressor writes v3 (dict off,
-/// the default -- bytes bit-identical to previous releases) or v4 (dict
-/// on); all versions decode.
+/// seekable in O(1).  The compressor writes v3; v2 and v3 decode.
 inline constexpr unsigned kStreamVersionUnindexed = 2;
 inline constexpr unsigned kStreamVersionIndexed = 3;
-inline constexpr unsigned kStreamVersionDict = 4;
 
 /// How the error bound is interpreted.
 ///
@@ -75,12 +67,6 @@ struct Params {
   bool allow_sparse = true;  ///< per-block sparse-ECQ representation
   int num_threads = 0;       ///< 0 = OpenMP default
 
-  /// Cross-block pattern dictionary (container format v4).  Off keeps
-  /// the v3 format and bit-identical output; On/Auto apply only to the
-  /// container drivers (compress / StreamWriter) -- the stateless
-  /// block-level API always encodes dictionary-free payloads.
-  DictMode dict = DictMode::Off;
-
   void validate() const {
     if (!(error_bound > 0.0)) {
       throw std::invalid_argument("error_bound must be positive");
@@ -106,17 +92,6 @@ struct Stats {
   std::array<std::size_t, 4> blocks_by_type{};
   std::size_t sparse_blocks = 0;
   std::size_t num_outliers = 0;
-  // Pattern-dictionary accounting (all zero for v2/v3 containers).
-  // `dict_bits` counts every bit the dictionary adds to the stream: the
-  // per-block tags, reference varints, deviation width fields and runs,
-  // and the trailer dictionary section.  `pattern_bits` keeps counting
-  // only inline (literal) PQ runs, so the two never overlap and the
-  // header/pattern/scale/ecq accounting stays exact with the dictionary
-  // on.
-  std::size_t dict_bits = 0;
-  std::size_t dict_entries = 0;     ///< entries defined (literal blocks)
-  std::size_t dict_exact_refs = 0;  ///< blocks stored as an exact ref
-  std::size_t dict_delta_refs = 0;  ///< blocks stored as base + deviation
 
   double ratio() const {
     return output_bytes ? static_cast<double>(input_bytes) / output_bytes
@@ -127,21 +102,18 @@ struct Stats {
   /// obs exporter (obs/export.h) serialize Stats through this one
   /// function, so the two representations can never drift.
   std::string to_json() const {
-    char buf[768];
+    char buf[512];
     std::snprintf(
         buf, sizeof(buf),
         "{\"input_bytes\":%zu,\"output_bytes\":%zu,\"ratio\":%.6g,"
         "\"header_bits\":%zu,\"pattern_bits\":%zu,\"scale_bits\":%zu,"
-        "\"ecq_bits\":%zu,\"dict_bits\":%zu,\"num_blocks\":%zu,"
+        "\"ecq_bits\":%zu,\"num_blocks\":%zu,"
         "\"blocks_by_type\":[%zu,%zu,%zu,%zu],"
-        "\"sparse_blocks\":%zu,\"num_outliers\":%zu,"
-        "\"dict_entries\":%zu,\"dict_exact_refs\":%zu,"
-        "\"dict_delta_refs\":%zu}",
+        "\"sparse_blocks\":%zu,\"num_outliers\":%zu}",
         input_bytes, output_bytes, ratio(), header_bits, pattern_bits,
-        scale_bits, ecq_bits, dict_bits, num_blocks, blocks_by_type[0],
+        scale_bits, ecq_bits, num_blocks, blocks_by_type[0],
         blocks_by_type[1], blocks_by_type[2], blocks_by_type[3],
-        sparse_blocks, num_outliers, dict_entries, dict_exact_refs,
-        dict_delta_refs);
+        sparse_blocks, num_outliers);
     return buf;
   }
 };
@@ -163,7 +135,6 @@ struct StreamInfo {
     p.bound_mode = bound_mode;
     p.metric = metric;
     p.tree = tree;
-    p.dict = version >= kStreamVersionDict ? DictMode::On : DictMode::Off;
     return p;
   }
 };
@@ -223,10 +194,6 @@ class BlockReader {
   const BlockIndex& index() const { return index_; }
   std::size_t num_blocks() const { return index_.num_blocks(); }
 
-  /// v4 streams: the read-only decode context holding the pre-decoded
-  /// pattern dictionary; nullptr for v2/v3 containers.
-  const CodecContext* dict_context() const { return dict_ctx_.get(); }
-
   /// Decode block `block` into `out` (size spec.block_size()).
   void read_block(std::size_t block, std::span<double> out) const;
   std::vector<double> read_block(std::size_t block) const;
@@ -240,11 +207,6 @@ class BlockReader {
   StreamInfo info_;
   Params params_;
   BlockIndex index_;
-  /// v4 streams only: decode context whose dictionary was pre-populated
-  /// from the trailer's defining-block list at construction (shared so
-  /// the reader stays copyable; read-only after construction, which
-  /// keeps the read methods const and concurrency-safe).
-  std::shared_ptr<const CodecContext> dict_ctx_;
 };
 
 /// One-shot conveniences over BlockReader, in the same StreamInfo-first
@@ -287,72 +249,11 @@ struct CodecWorkspace {
   bitio::BitWriter writer;                ///< drivers: per-block bit staging
   std::vector<std::uint8_t> arena;        ///< drivers: batch payload staging
   Stats stats;                            ///< drivers: per-thread accounting
-};
 
-// ---- Container-scoped codec context ------------------------------------
-
-/// Per-container codec state, threaded through the block codec and both
-/// streaming drivers: the pattern dictionary (format v4), the resolved
-/// parameters, and the reusable per-thread workspace pool.  One context
-/// spans one container; `begin_container()` resets the dictionary so a
-/// context (and its warmed workspaces) can be reused across containers.
-///
-/// Thread safety: mutation (encode-side decide_and_commit, decode-side
-/// absorb_payload_prefix, workspace growth) is serial-only; read access
-/// (`dict()` lookups during parallel decode, distinct `workspace(tid)`
-/// slots) is safe concurrently.
-class CodecContext {
- public:
-  /// Encode-side context.  Resolves DictMode::Auto against the spec.
-  /// Throws std::invalid_argument on bad spec/params.
-  CodecContext(const BlockSpec& spec, const Params& params);
-
-  /// Decode-side context for a stream with header `info` (the dictionary
-  /// is enabled iff the stream is v4).
-  explicit CodecContext(const StreamInfo& info, int num_threads = 0);
-
-  const BlockSpec& spec() const { return spec_; }
-  const Params& params() const { return params_; }
-
-  /// Whether this container carries the pattern dictionary (resolved
-  /// DictMode on the encode side, stream version on the decode side).
-  bool dict_enabled() const { return dict_on_; }
-
-  PatternDict& dict() { return dict_; }
-  const PatternDict& dict() const { return dict_; }
-
-  /// Reset per-container state (the dictionary and the block ordinal
-  /// counter) for a new container; workspaces keep their warmed capacity.
-  void begin_container() {
-    dict_.clear();
-    next_ordinal_ = 0;
-  }
-
-  /// Encode side: claim the ordinal of the next appended block (ordinals
-  /// identify dictionary-defining blocks in the v4 trailer).  Serial.
-  std::uint64_t advance_ordinal() { return next_ordinal_++; }
-
-  /// Grow the workspace pool to at least `n` slots (serial only) and
-  /// return its base; slot `tid` is then private to worker `tid`.
-  CodecWorkspace* workspaces(std::size_t n);
-  CodecWorkspace& workspace(std::size_t tid) { return workspaces_[tid]; }
-
-  /// Decode-side adaptive dictionary build: parse one v4 payload's
-  /// pattern prefix (zero flag, bound exponent, P_b, tag) and -- for a
-  /// literal block with room in the dictionary -- register its pattern
-  /// as the next entry, mirroring the encoder's id assignment exactly.
-  /// Returns true iff an entry was defined.  Serial, in block order.
-  bool absorb_payload_prefix(std::span<const std::uint8_t> payload,
-                             std::uint64_t block_ordinal);
-
- private:
-  BlockSpec spec_;
-  Params params_;
-  bool dict_on_ = false;
-  std::uint64_t next_ordinal_ = 0;
-  PatternDict dict_;
-  std::vector<CodecWorkspace> workspaces_;
-  std::vector<std::int64_t> absorb_pq_;  ///< prefix-scan scratch
+  /// Size every per-block scratch buffer (encode side and bit staging)
+  /// for `spec` up front, so even the first block encoded on this
+  /// workspace allocates nothing.
+  void reserve(const BlockSpec& spec);
 };
 
 /// Compress one block into `w` and account into `stats` (may be null).
@@ -364,15 +265,6 @@ void compress_block(std::span<const double> block, const BlockSpec& spec,
                     const Params& params, bitio::BitWriter& w, Stats* stats,
                     CodecWorkspace& ws);
 
-/// Context-first variant: encodes under `ctx` (dictionary lookups and
-/// commits when the context has the dictionary enabled -- serial-only in
-/// that case, the dictionary state advances per block).  With the
-/// dictionary off the emitted bits equal the stateless overloads'.
-void compress_block(CodecContext& ctx, std::span<const double> block,
-                    bitio::BitWriter& w, Stats* stats);
-void compress_block(CodecContext& ctx, std::span<const double> block,
-                    bitio::BitWriter& w, Stats* stats, CodecWorkspace& ws);
-
 /// Decompress one block from `r`.
 void decompress_block(bitio::BitReader& r, const BlockSpec& spec,
                       const Params& params, std::span<double> out);
@@ -381,16 +273,6 @@ void decompress_block(bitio::BitReader& r, const BlockSpec& spec,
 void decompress_block(bitio::BitReader& r, const BlockSpec& spec,
                       const Params& params, std::span<double> out,
                       CodecWorkspace& ws);
-
-/// Context-first variants: required for v4 payloads (the pattern tag and
-/// dictionary references only decode against a populated context); for
-/// v2/v3 payloads they match the stateless overloads bit-for-bit.  The
-/// context is read-only here, so concurrent decodes may share it (one
-/// workspace per thread).
-void decompress_block(const CodecContext& ctx, bitio::BitReader& r,
-                      std::span<double> out);
-void decompress_block(const CodecContext& ctx, bitio::BitReader& r,
-                      std::span<double> out, CodecWorkspace& ws);
 
 /// Introspection for analysis benches/tests: the full quantized
 /// representation of one block under `params` (pattern selection included).

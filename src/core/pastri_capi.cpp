@@ -36,11 +36,6 @@ pastri::Params to_cpp_params(const pastri_params& p) {
   out.tree = static_cast<pastri::EcqTree>(p.tree);
   out.allow_sparse = p.allow_sparse != 0;
   out.num_threads = p.num_threads;
-  if (p.dict_mode < 0 || p.dict_mode > 2) {
-    throw std::invalid_argument("dict_mode must be 0 (off), 1 (on), or "
-                                "2 (auto)");
-  }
-  out.dict = static_cast<pastri::DictMode>(p.dict_mode);
   return out;
 }
 
@@ -75,14 +70,6 @@ pastri_status malloc_copy(const std::vector<T>& src, T** out,
 
 }  // namespace
 
-/* Opaque container-context handle: one C++ CodecContext (dictionary,
- * resolved params, workspace pool). */
-struct pastri_ctx {
-  pastri::CodecContext cpp;
-  pastri_ctx(const pastri::BlockSpec& spec, const pastri::Params& params)
-      : cpp(spec, params) {}
-};
-
 /* Opaque streaming-compressor handle (member order matters: writer holds
  * a reference into sink, which writes to file). */
 struct pastri_stream {
@@ -104,7 +91,6 @@ void pastri_params_init(pastri_params* params) {
   params->tree = static_cast<int>(d.tree);
   params->allow_sparse = d.allow_sparse ? 1 : 0;
   params->num_threads = d.num_threads;
-  params->dict_mode = static_cast<int>(d.dict);
 }
 
 const char* pastri_status_name(pastri_status status) {
@@ -237,62 +223,6 @@ pastri_status pastri_peek(const unsigned char* stream, size_t stream_size,
     return fail(PASTRI_ERR_INTERNAL, "unknown exception");
   }
 }
-
-pastri_status pastri_ctx_create(size_t num_sub_blocks,
-                                size_t sub_block_size,
-                                const pastri_params* params,
-                                pastri_ctx** out) {
-  if (params == nullptr || out == nullptr) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
-  }
-  try {
-    const pastri::BlockSpec spec{num_sub_blocks, sub_block_size};
-    auto ctx = std::make_unique<pastri_ctx>(spec, to_cpp(*params));
-    *out = ctx.release();
-    return PASTRI_OK;
-  } catch (const std::invalid_argument& e) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT, e.what());
-  } catch (const std::exception& e) {
-    return fail(PASTRI_ERR_INTERNAL, e.what());
-  } catch (...) {
-    return fail(PASTRI_ERR_INTERNAL, "unknown exception");
-  }
-}
-
-int pastri_ctx_dict_enabled(const pastri_ctx* ctx) {
-  return ctx != nullptr && ctx->cpp.dict_enabled() ? 1 : 0;
-}
-
-pastri_status pastri_ctx_compress_buffer(pastri_ctx* ctx,
-                                         const double* data, size_t count,
-                                         unsigned char** out,
-                                         size_t* out_size) {
-  if (ctx == nullptr || (data == nullptr && count != 0) ||
-      out == nullptr || out_size == nullptr) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
-  }
-  try {
-    const size_t bs = ctx->cpp.spec().block_size();
-    if (bs == 0 || count % bs != 0) {
-      return fail(PASTRI_ERR_INVALID_ARGUMENT,
-                  "data size is not a whole number of blocks");
-    }
-    pastri::VectorSink sink;
-    pastri::StreamWriter writer(sink, ctx->cpp,
-                                {.expected_blocks = count / bs});
-    writer.put_values(std::span<const double>(data, count));
-    writer.finish();
-    return malloc_copy(sink.take(), out, out_size);
-  } catch (const std::invalid_argument& e) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT, e.what());
-  } catch (const std::exception& e) {
-    return fail(PASTRI_ERR_INTERNAL, e.what());
-  } catch (...) {
-    return fail(PASTRI_ERR_INTERNAL, "unknown exception");
-  }
-}
-
-void pastri_ctx_destroy(pastri_ctx* ctx) { delete ctx; }
 
 pastri_status pastri_stream_open(const char* path, size_t num_sub_blocks,
                                  size_t sub_block_size,

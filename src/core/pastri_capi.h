@@ -37,11 +37,9 @@ typedef struct pastri_params {
   int tree;            /* 1..5 (Fig. 7 trees) */
   int allow_sparse;    /* nonzero = adaptive sparse ECQ */
   int num_threads;     /* 0 = OpenMP default */
-  int dict_mode;       /* 0 = off (v3, default), 1 = on (v4), 2 = auto */
 } pastri_params;
 
-/* Fill with the paper's defaults (EB=1e-10, ER, Tree 5, sparse on,
- * dictionary off). */
+/* Fill with the paper's defaults (EB=1e-10, ER, Tree 5, sparse on). */
 void pastri_params_init(pastri_params* params);
 
 /* Static name of a status code ("PASTRI_OK", "PASTRI_ERR_CORRUPT_STREAM",
@@ -122,39 +120,6 @@ void pastri_stream_close(pastri_stream* stream);
 pastri_status pastri_peek(const unsigned char* stream, size_t stream_size,
                           double* error_bound, size_t* num_sub_blocks,
                           size_t* sub_block_size, size_t* num_blocks);
-
-/* ---- Container contexts ---------------------------------------------
- *
- * A context owns the per-container codec state of the C++ CodecContext:
- * the resolved parameters, the cross-block pattern dictionary (when
- * params->dict_mode enables it, producing format v4), and the warmed
- * per-thread workspaces.  Reusing one context across many compressions
- * of like-shaped data skips the per-call setup; each compression still
- * starts a fresh container (the dictionary resets per call).  Handles
- * are not thread-safe. */
-
-typedef struct pastri_ctx pastri_ctx;
-
-/* Create a context for blocks of num_sub_blocks * sub_block_size
- * values.  dict_mode 2 (auto) resolves against the block shape here. */
-pastri_status pastri_ctx_create(size_t num_sub_blocks,
-                                size_t sub_block_size,
-                                const pastri_params* params,
-                                pastri_ctx** out);
-
-/* Whether containers written through this context carry the pattern
- * dictionary (1) or the bit-identical v3 format (0). */
-int pastri_ctx_dict_enabled(const pastri_ctx* ctx);
-
-/* Compress `count` doubles (whole blocks) into a fresh container under
- * this context; same ownership contract as pastri_compress_buffer. */
-pastri_status pastri_ctx_compress_buffer(pastri_ctx* ctx,
-                                         const double* data, size_t count,
-                                         unsigned char** out,
-                                         size_t* out_size);
-
-/* Release the context. */
-void pastri_ctx_destroy(pastri_ctx* ctx);
 
 /* ---- Compressed block stores ----------------------------------------
  *

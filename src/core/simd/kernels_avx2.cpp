@@ -359,20 +359,6 @@ void unpack_pairs_avx2(const std::uint8_t* base, std::size_t nbytes,
   }
 }
 
-void apply_base_i64_avx2(std::int64_t* dst, const std::int64_t* base,
-                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_add_epi64(d, b));
-  }
-  for (; i < n; ++i) dst[i] += base[i];
-}
-
 bool scatter_ecq_avx2(std::int64_t* ecq, std::size_t n,
                       const std::uint64_t* idx, const std::int64_t* val,
                       std::size_t nol) {
@@ -465,8 +451,8 @@ const EncodeKernels kAvx2Kernels = {
 };
 
 const DecodeKernels kAvx2Decode = {
-    unpack_signed_avx2, unpack_pairs_avx2, apply_base_i64_avx2,
-    scatter_ecq_avx2, reconstruct_avx2,
+    unpack_signed_avx2, unpack_pairs_avx2, scatter_ecq_avx2,
+    reconstruct_avx2,
 };
 
 bool avx2_compiled_in() { return true; }

@@ -311,17 +311,6 @@ void unpack_pairs_avx512(const std::uint8_t* base, std::size_t nbytes,
   }
 }
 
-void apply_base_i64_avx512(std::int64_t* dst, const std::int64_t* base,
-                           std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i b = _mm512_loadu_si512(base + i);
-    _mm512_storeu_si512(dst + i, _mm512_add_epi64(d, b));
-  }
-  for (; i < n; ++i) dst[i] += base[i];
-}
-
 bool scatter_ecq_avx512(std::int64_t* ecq, std::size_t n,
                         const std::uint64_t* idx, const std::int64_t* val,
                         std::size_t nol) {
@@ -404,8 +393,8 @@ const EncodeKernels kAvx512Kernels = {
 };
 
 const DecodeKernels kAvx512Decode = {
-    unpack_signed_avx512, unpack_pairs_avx512, apply_base_i64_avx512,
-    scatter_ecq_avx512, reconstruct_avx512,
+    unpack_signed_avx512, unpack_pairs_avx512, scatter_ecq_avx512,
+    reconstruct_avx512,
 };
 
 bool avx512_compiled_in() { return true; }

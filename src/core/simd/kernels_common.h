@@ -121,12 +121,6 @@ namespace pastri::simd::detail {
   }
 }
 
-[[maybe_unused]] static void apply_base_i64_scalar(std::int64_t* dst,
-                                                   const std::int64_t* base,
-                                                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += base[i];
-}
-
 [[maybe_unused]] static bool scatter_ecq_scalar(std::int64_t* ecq,
                                                 std::size_t n,
                                                 const std::uint64_t* idx,

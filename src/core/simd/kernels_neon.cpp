@@ -202,15 +202,6 @@ void ecq_residual_neon(const double* block, std::size_t nsb,
 
 // ---- Decode kernels ----------------------------------------------------
 
-void apply_base_i64_neon(std::int64_t* dst, const std::int64_t* base,
-                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_s64(dst + i, vaddq_s64(vld1q_s64(dst + i), vld1q_s64(base + i)));
-  }
-  for (; i < n; ++i) dst[i] += base[i];
-}
-
 void reconstruct_neon(const std::int64_t* pq, const std::int64_t* sq,
                       const std::int64_t* ecq, std::size_t nsb,
                       std::size_t sbs, double pattern_binsize,
@@ -261,7 +252,7 @@ const EncodeKernels kNeonKernels = {
 
 const DecodeKernels kNeonDecode = {
     detail::unpack_signed_scalar, detail::unpack_pairs_scalar,
-    apply_base_i64_neon, detail::scatter_ecq_scalar, reconstruct_neon,
+    detail::scatter_ecq_scalar, reconstruct_neon,
 };
 
 bool neon_compiled_in() { return true; }

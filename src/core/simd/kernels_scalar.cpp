@@ -101,8 +101,7 @@ const EncodeKernels kScalarKernels = {
 
 const DecodeKernels kScalarDecode = {
     detail::unpack_signed_scalar, detail::unpack_pairs_scalar,
-    detail::apply_base_i64_scalar, detail::scatter_ecq_scalar,
-    detail::reconstruct_scalar,
+    detail::scatter_ecq_scalar, detail::reconstruct_scalar,
 };
 
 }  // namespace pastri::simd

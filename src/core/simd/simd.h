@@ -7,10 +7,9 @@
 //     quantize+residual+ECQ, and the ECQ class counts that feed
 //     plan_block's dense-size computation (PR 5).
 //   * DecodeKernels -- the bulk reconstruction stage that runs after
-//     the serial entropy decode: fixed-width signed-run unpack (PQ/SQ,
-//     DeltaRef deviations), sparse-ECQ (index,value) record unpack and
-//     scatter, dictionary base application, and the pattern x scale
-//     multiply-add reconstruction.
+//     the serial entropy decode: fixed-width signed-run unpack (PQ/SQ),
+//     sparse-ECQ (index,value) record unpack and scatter, and the
+//     pattern x scale multiply-add reconstruction.
 //
 // Four backends implement the tables:
 //
@@ -121,11 +120,6 @@ struct DecodeKernels {
                        std::size_t bitpos, unsigned idx_bits,
                        unsigned val_bits, std::uint64_t* idx,
                        std::int64_t* val, std::size_t n);
-
-  /// DeltaRef apply: dst[i] += base[i] (the decoded deviations become
-  /// the pattern once the dictionary base is added).
-  void (*apply_base_i64)(std::int64_t* dst, const std::int64_t* base,
-                         std::size_t n);
 
   /// Sparse-ECQ scatter: zero-fill ecq[0..n) then ecq[idx[k]] = val[k].
   /// Returns false (without storing out of range) when any index is

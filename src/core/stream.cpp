@@ -283,7 +283,6 @@ struct StreamMetrics {
       obs::registry().counter(obs::kStreamRawBytesOut);
   obs::Gauge compression_ratio =
       obs::registry().gauge(obs::kStreamCompressionRatio);
-  obs::Gauge dict_bytes = obs::registry().gauge(obs::kCoreDictBytes);
 };
 
 const StreamMetrics& stream_metrics() {
@@ -300,21 +299,10 @@ void merge_block_stats(Stats& into, const Stats& from) {
   into.header_bits += from.header_bits;
   into.sparse_blocks += from.sparse_blocks;
   into.num_outliers += from.num_outliers;
-  into.dict_bits += from.dict_bits;
-  into.dict_entries += from.dict_entries;
-  into.dict_exact_refs += from.dict_exact_refs;
-  into.dict_delta_refs += from.dict_delta_refs;
   for (int t = 0; t < 4; ++t) into.blocks_by_type[t] += from.blocks_by_type[t];
 }
 
 }  // namespace
-
-/// Per-block slots of the dictionary pipeline, reused batch to batch.
-struct StreamWriter::DictBatch {
-  std::vector<QuantizedBlock> qbs;
-  std::vector<detail::BlockPlan> plans;
-  std::vector<PatternDecision> decs;
-};
 
 StreamWriter::StreamWriter(ByteSink& sink, const BlockSpec& spec,
                            const Params& params,
@@ -323,25 +311,8 @@ StreamWriter::StreamWriter(ByteSink& sink, const BlockSpec& spec,
       spec_(spec),
       params_(params),
       expected_blocks_(opt.expected_blocks) {
-  owned_ctx_ = std::make_unique<CodecContext>(spec_, params_);  // validates
-  ctx_ = owned_ctx_.get();
-  batch_capacity_ = opt.batch_blocks;
-  init_container_();
-}
-
-StreamWriter::StreamWriter(ByteSink& sink, CodecContext& ctx,
-                           const StreamWriterOptions& opt)
-    : sink_(sink),
-      spec_(ctx.spec()),
-      params_(ctx.params()),
-      expected_blocks_(opt.expected_blocks),
-      ctx_(&ctx) {
-  ctx_->begin_container();
-  batch_capacity_ = opt.batch_blocks;
-  init_container_();
-}
-
-void StreamWriter::init_container_() {
+  spec_.validate();
+  params_.validate();
   patch_header_ = expected_blocks_ == kUnknownBlockCount;
   if (patch_header_ && !sink_.can_patch()) {
     throw std::logic_error(
@@ -349,21 +320,13 @@ void StreamWriter::init_container_() {
         "expected_blocks up-front for non-seekable sinks");
   }
   const int nthreads = detail::resolve_threads(params_.num_threads);
-  if (batch_capacity_ == 0) {
-    batch_capacity_ = auto_batch_blocks(spec_, nthreads);
-  }
+  batch_capacity_ =
+      opt.batch_blocks ? opt.batch_blocks : auto_batch_blocks(spec_, nthreads);
   batch_.resize(batch_capacity_ * spec_.block_size());
-  if (ctx_->dict_enabled()) {
-    dict_batch_ = std::make_unique<DictBatch>();
-    dict_batch_->qbs.resize(batch_capacity_);
-    dict_batch_->plans.resize(batch_capacity_);
-    dict_batch_->decs.resize(batch_capacity_);
-  }
 
   bitio::BitWriter w;
-  detail::write_global_header(
-      w, spec_, params_, patch_header_ ? 0 : expected_blocks_,
-      ctx_->dict_enabled() ? detail::kVersionDict : detail::kVersion);
+  detail::write_global_header(w, spec_, params_,
+                              patch_header_ ? 0 : expected_blocks_);
   const auto header = w.take();
   sink_.write(header);
   bytes_emitted_ = header.size();
@@ -380,17 +343,6 @@ StreamWriter::StreamWriter(ByteSink& sink, const StreamInfo& info,
     throw std::runtime_error(
         "StreamWriter: cannot append to an unindexed (v2) container");
   }
-  if (info.version >= kStreamVersionDict) {
-    throw std::runtime_error(
-        "StreamWriter: cannot append to a dictionary (v4) container; its "
-        "dictionary was sealed at finish()");
-  }
-  if (params_.dict == DictMode::On) {
-    throw std::invalid_argument(
-        "StreamWriter: cannot enable the dictionary when appending to a "
-        "v3 container");
-  }
-  params_.dict = DictMode::Off;  // Auto resolves off on append
   if (params_.error_bound != info.error_bound ||
       params_.bound_mode != info.bound_mode ||
       params_.metric != info.metric || params_.tree != info.tree) {
@@ -415,8 +367,6 @@ StreamWriter::StreamWriter(ByteSink& sink, const StreamInfo& info,
   }
   bytes_emitted_ = index.num_blocks() == 0 ? detail::kGlobalHeaderBytes
                                            : index.payload_end();
-  owned_ctx_ = std::make_unique<CodecContext>(spec_, params_);
-  ctx_ = owned_ctx_.get();
   const int nthreads = detail::resolve_threads(params_.num_threads);
   batch_capacity_ =
       opt.batch_blocks ? opt.batch_blocks : auto_batch_blocks(spec_, nthreads);
@@ -479,50 +429,61 @@ void StreamWriter::flush_batch_() {
   // Workers encode the staged blocks independently into their own
   // workspace (bit staging + payload arena, reused batch to batch); the
   // serializer below then writes them in append order, so the container
-  // bytes cannot depend on scheduling.
-  CodecWorkspace* wss = ctx_->workspaces(static_cast<std::size_t>(nthreads));
+  // bytes cannot depend on scheduling.  Any worker may draw a whole
+  // batch (a batch is often a single dynamic chunk), so every slot is
+  // sized for the spec before its first block: a worker that sat out the
+  // early batches must not allocate when it finally gets one.
+  const bool first_flush = workspaces_.empty();
+  if (workspaces_.size() < static_cast<std::size_t>(nthreads)) {
+    workspaces_.resize(static_cast<std::size_t>(nthreads));
+    for (CodecWorkspace& ws : workspaces_) ws.reserve(spec_);
+  }
   for (int t = 0; t < nthreads; ++t) {
-    wss[t].arena.clear();   // capacity retained
-    wss[t].stats = Stats{};  // merged into stats_ after the join
+    workspaces_[t].arena.clear();   // capacity retained
+    workspaces_[t].stats = Stats{};  // merged into stats_ after the join
   }
   refs_.resize(n);
-  if (dict_batch_) {
-    flush_batch_dict_();
-  } else {
-    std::exception_ptr error;
+  std::exception_ptr error;
 #pragma omp parallel num_threads(nthreads)
-    {
-      CodecWorkspace& ws = wss[static_cast<std::size_t>(omp_get_thread_num())];
+  {
+    CodecWorkspace& ws =
+        workspaces_[static_cast<std::size_t>(omp_get_thread_num())];
 #pragma omp for schedule(dynamic, 16)
-      for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(n); ++b) {
-        try {
-          ws.writer.restart();
-          compress_block(
-              std::span<const double>(batch_).subspan(
-                  static_cast<std::size_t>(b) * bs, bs),
-              spec_, params_, ws.writer, &ws.stats, ws);
-          const auto payload = ws.writer.finish_view();
-          refs_[static_cast<std::size_t>(b)] = {
-              static_cast<std::size_t>(omp_get_thread_num()),
-              ws.arena.size(), payload.size()};
-          ws.arena.insert(ws.arena.end(), payload.begin(), payload.end());
-        } catch (...) {
+    for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(n); ++b) {
+      try {
+        ws.writer.restart();
+        compress_block(
+            std::span<const double>(batch_).subspan(
+                static_cast<std::size_t>(b) * bs, bs),
+            spec_, params_, ws.writer, &ws.stats, ws);
+        const auto payload = ws.writer.finish_view();
+        refs_[static_cast<std::size_t>(b)] = {
+            static_cast<std::size_t>(omp_get_thread_num()),
+            ws.arena.size(), payload.size()};
+        ws.arena.insert(ws.arena.end(), payload.begin(), payload.end());
+      } catch (...) {
 #pragma omp critical(pastri_stream_writer_error)
-          if (!error) error = std::current_exception();
-        }
+        if (!error) error = std::current_exception();
       }
     }
-    if (error) std::rethrow_exception(error);
   }
+  if (error) std::rethrow_exception(error);
   for (int t = 0; t < nthreads; ++t) {
-    merge_block_stats(stats_, wss[t].stats);
+    merge_block_stats(stats_, workspaces_[t].stats);
+  }
+  if (first_flush) {
+    // Room for a whole batch's payloads in every arena, for the same
+    // reason: steady-state batches then reuse this capacity.
+    std::size_t batch_payload = 0;
+    for (std::size_t b = 0; b < n; ++b) batch_payload += refs_[b].len;
+    for (CodecWorkspace& ws : workspaces_) ws.arena.reserve(batch_payload);
   }
 
   std::size_t emitted = 0;
   for (std::size_t b = 0; b < n; ++b) {
     const PayloadRef& ref = refs_[b];
     const auto payload = std::span<const std::uint8_t>(
-        ctx_->workspace(ref.tid).arena).subspan(ref.off, ref.len);
+        workspaces_[ref.tid].arena).subspan(ref.off, ref.len);
     std::uint8_t varint[10];
     std::size_t width = 0;
     std::uint64_t v = payload.size();
@@ -548,73 +509,6 @@ void StreamWriter::flush_batch_() {
   }
 }
 
-/// Dictionary (v4) batch encode in three phases: quantize every staged
-/// block in parallel, run the dictionary lookups/commits serially in
-/// append order (the only stage whose state spans blocks), then
-/// serialize the payloads in parallel against the now read-only
-/// dictionary.  The container bytes depend only on the block sequence --
-/// not on thread count or batch size -- because the decisions are made
-/// in append order regardless of how the parallel phases are scheduled.
-void StreamWriter::flush_batch_dict_() {
-  const std::size_t n = batch_count_;
-  const std::size_t bs = spec_.block_size();
-  const int nthreads = detail::resolve_threads(params_.num_threads);
-  DictBatch& db = *dict_batch_;
-
-  std::exception_ptr error;
-#pragma omp parallel num_threads(nthreads)
-  {
-    CodecWorkspace& ws =
-        ctx_->workspace(static_cast<std::size_t>(omp_get_thread_num()));
-#pragma omp for schedule(dynamic, 16)
-    for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(n); ++b) {
-      try {
-        db.plans[static_cast<std::size_t>(b)] = detail::quantize_stage(
-            std::span<const double>(batch_).subspan(
-                static_cast<std::size_t>(b) * bs, bs),
-            spec_, params_, ws, db.qbs[static_cast<std::size_t>(b)]);
-      } catch (...) {
-#pragma omp critical(pastri_stream_writer_error)
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
-
-  for (std::size_t b = 0; b < n; ++b) {
-    const std::uint64_t ordinal = ctx_->advance_ordinal();
-    db.decs[b] = db.plans[b].zero
-                     ? PatternDecision{}
-                     : ctx_->dict().decide_and_commit(
-                           db.qbs[b].pq, db.qbs[b].spec.pattern_bits,
-                           ordinal);
-  }
-
-#pragma omp parallel num_threads(nthreads)
-  {
-    CodecWorkspace& ws =
-        ctx_->workspace(static_cast<std::size_t>(omp_get_thread_num()));
-#pragma omp for schedule(dynamic, 16)
-    for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(n); ++b) {
-      try {
-        const auto i = static_cast<std::size_t>(b);
-        ws.writer.restart();
-        detail::serialize_stage(spec_, params_, /*dict_stream=*/true,
-                                &ctx_->dict(), &db.decs[i], db.plans[i],
-                                db.qbs[i], ws.writer, &ws.stats);
-        const auto payload = ws.writer.finish_view();
-        refs_[i] = {static_cast<std::size_t>(omp_get_thread_num()),
-                    ws.arena.size(), payload.size()};
-        ws.arena.insert(ws.arena.end(), payload.begin(), payload.end());
-      } catch (...) {
-#pragma omp critical(pastri_stream_writer_error)
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
-
 std::size_t StreamWriter::finish() {
   if (finished_) throw std::logic_error("StreamWriter: already finished");
   if (!tail_.empty()) {
@@ -631,37 +525,14 @@ std::size_t StreamWriter::finish() {
 
   const BlockIndex index =
       BlockIndex::from_payload_sizes(detail::kGlobalHeaderBytes, sizes_);
-  if (ctx_->dict_enabled()) {
-    // v4 trailer: dictionary section, offset table, extended footer.
-    // The section's bytes belong to the dictionary accounting (they only
-    // exist because of it); the table and footer stay bookkeeping.
-    const std::size_t dict_offset = bytes_emitted_;
-    bitio::BitWriter dw;
-    ctx_->dict().serialize_section(dw);
-    const auto section = dw.take();
-    sink_.write(section);
-    bytes_emitted_ += section.size();
-    stats_.dict_bits += 8 * section.size();
-    stream_metrics().dict_bytes.set(static_cast<double>(section.size()));
-
-    const std::size_t index_offset = bytes_emitted_;
-    bitio::BitWriter w;
-    index.serialize(w);
-    detail::write_dict_footer(w, {dict_offset, index_offset, num_blocks});
-    const auto tail = w.take();
-    sink_.write(tail);
-    bytes_emitted_ += tail.size();
-    stats_.header_bits += 8 * tail.size();
-  } else {
-    const std::size_t index_offset = bytes_emitted_;
-    bitio::BitWriter w;
-    index.serialize(w);
-    detail::write_index_footer(w, {index_offset, num_blocks});
-    const auto tail = w.take();
-    sink_.write(tail);
-    bytes_emitted_ += tail.size();
-    stats_.header_bits += 8 * tail.size();
-  }
+  const std::size_t index_offset = bytes_emitted_;
+  bitio::BitWriter w;
+  index.serialize(w);
+  detail::write_index_footer(w, {index_offset, num_blocks});
+  const auto tail = w.take();
+  sink_.write(tail);
+  bytes_emitted_ += tail.size();
+  stats_.header_bits += 8 * tail.size();
 
   // Back-fill the header block count if it was not known up-front (a
   // fresh count of zero, or an unchanged resumed count, needs no patch).
@@ -695,28 +566,15 @@ StreamConsumer::StreamConsumer(ByteSource& source,
   params_ = info_.to_params();
   params_.num_threads = opt.num_threads;
   remaining_ = info_.num_blocks;
-  // One context for the whole stream: for v4 it accumulates the
-  // dictionary (serial prefix scan per batch); for v2/v3 it only hosts
-  // the workspace pool and decodes bit-identically to the stateless path.
-  ctx_ = std::make_unique<CodecContext>(info_, opt.num_threads);
 
   const int nthreads = detail::resolve_threads(params_.num_threads);
   batch_blocks_ = opt.batch_blocks
                       ? opt.batch_blocks
                       : auto_batch_blocks(info_.spec, nthreads);
-  // Sanity cap on a single payload's declared length: a valid block
-  // never exceeds ~16 bytes per value plus per-sub-block metadata, so a
-  // larger length varint is corruption, not data -- reject before
-  // allocating buffer space for it.
-  const std::size_t bs = info_.spec.block_size();
-  if (bs > (std::numeric_limits<std::size_t>::max() >> 5)) {
-    max_payload_ = std::numeric_limits<std::size_t>::max();
-  } else {
-    max_payload_ = 16 * bs +
-                   7 * (info_.spec.num_sub_blocks +
-                        info_.spec.sub_block_size) +
-                   64;
-  }
+  // Sanity cap on a single payload's declared length: a larger length
+  // varint is corruption, not data -- reject before allocating buffer
+  // space for it.
+  max_payload_ = detail::max_block_payload_bytes(info_.spec);
 }
 
 void StreamConsumer::refill_() {
@@ -786,23 +644,10 @@ std::size_t StreamConsumer::decode_batch_(std::span<double> out,
   const std::size_t bs = info_.spec.block_size();
   const std::size_t n = extents_.size();
   const int nthreads = detail::resolve_threads(params_.num_threads);
-  ctx_->workspaces(static_cast<std::size_t>(nthreads));
-
-  // v4: absorb the pattern prefixes serially in block order BEFORE the
-  // parallel decode, so every dictionary entry a block may reference
-  // (defined by any earlier block, this batch included) exists by the
-  // time the workers run and the context is read-only below.
-  if (ctx_->dict_enabled()) {
-    const std::uint64_t base = info_.num_blocks - remaining_;
-    for (std::size_t b = 0; b < n; ++b) {
-      const Extent& e = extents_[b];
-      ctx_->absorb_payload_prefix(
-          std::span<const std::uint8_t>(buf_).subspan(pos_ + e.off, e.len),
-          base + b);
-    }
+  if (workspaces_.size() < static_cast<std::size_t>(nthreads)) {
+    workspaces_.resize(static_cast<std::size_t>(nthreads));
   }
 
-  const CodecContext& ctx = *ctx_;
   std::exception_ptr error;
 #pragma omp parallel for schedule(dynamic, 16) num_threads(nthreads) \
     shared(error) if (n > 1)
@@ -812,8 +657,9 @@ std::size_t StreamConsumer::decode_batch_(std::span<double> out,
       bitio::BitReader r(std::span<const std::uint8_t>(buf_).subspan(
           pos_ + e.off, e.len));
       decompress_block(
-          ctx, r, out.subspan(static_cast<std::size_t>(b) * bs, bs),
-          ctx_->workspace(static_cast<std::size_t>(omp_get_thread_num())));
+          r, info_.spec, params_,
+          out.subspan(static_cast<std::size_t>(b) * bs, bs),
+          workspaces_[static_cast<std::size_t>(omp_get_thread_num())]);
     } catch (...) {
 #pragma omp critical(pastri_stream_consumer_error)
       if (!error) error = std::current_exception();

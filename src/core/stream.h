@@ -204,18 +204,10 @@ struct StreamWriterOptions {
 /// std::logic_error.
 class StreamWriter {
  public:
-  /// Start a fresh container.  Throws std::invalid_argument on bad
+  /// Start a fresh (v3) container.  Throws std::invalid_argument on bad
   /// spec/params, std::logic_error when the block count is unknown and
-  /// the sink cannot patch.  With Params::dict resolved to on, the
-  /// container is written in format v4 (pattern dictionary); otherwise
-  /// the bytes are bit-identical to previous releases (v3).
+  /// the sink cannot patch.
   StreamWriter(ByteSink& sink, const BlockSpec& spec, const Params& params,
-               const StreamWriterOptions& opt = {});
-
-  /// Start a fresh container on an existing context (its dictionary is
-  /// reset via begin_container(); its workspace pool is reused warm).
-  /// The context must outlive the writer.
-  StreamWriter(ByteSink& sink, CodecContext& ctx,
                const StreamWriterOptions& opt = {});
 
   /// Resume an existing indexed container whose header yielded `info`
@@ -224,9 +216,6 @@ class StreamWriter {
   /// overwritten) and must support patch().  `params` controls the
   /// encoding of appended blocks; its bound/metric/tree must equal the
   /// header's or decoding would diverge (throws std::invalid_argument).
-  /// Dictionary (v4) containers cannot be resumed -- their dictionary
-  /// state is sealed at finish() -- and appended blocks of a v3
-  /// container are always dictionary-free (DictMode::On throws).
   StreamWriter(ByteSink& sink, const StreamInfo& info, const Params& params,
                const BlockIndex& index,
                const StreamWriterOptions& opt = {});
@@ -263,12 +252,10 @@ class StreamWriter {
   const Stats& stats() const { return stats_; }
 
  private:
-  void init_container_();
   void flush_batch_();
-  void flush_batch_dict_();
 
   /// Where one block's encoded payload lives: byte range `[off, off+len)`
-  /// of the encoding worker's arena (the context workspace pool).  The
+  /// of the encoding worker's arena (`workspaces_[tid]`).  The
   /// serializer walks these in append order, so the container bytes are
   /// scheduling-independent even though payloads are scattered across
   /// per-thread arenas.
@@ -277,11 +264,6 @@ class StreamWriter {
     std::size_t off = 0;
     std::size_t len = 0;
   };
-
-  /// Per-block staging of the dictionary pipeline (quantize in parallel,
-  /// decide in append order, serialize in parallel); defined in
-  /// stream.cpp, allocated only for v4 containers.
-  struct DictBatch;
 
   ByteSink& sink_;
   BlockSpec spec_;
@@ -296,14 +278,11 @@ class StreamWriter {
   std::size_t batch_count_ = 0;      // blocks currently staged
   std::vector<double> tail_;         // partial block from put_values
 
-  /// Container codec state: the dictionary (v4) and the per-worker codec
-  /// scratch + payload arenas, sized on the first batch and reused for
+  /// Per-worker codec scratch + payload arenas, sized for the spec and
+  /// the first batch's payload bytes on the first flush and reused for
   /// every batch after (steady-state flushes perform no heap allocation;
-  /// tests/test_alloc_free.cpp pins this).  Owned unless the caller
-  /// passed a context in.
-  CodecContext* ctx_ = nullptr;
-  std::unique_ptr<CodecContext> owned_ctx_;
-  std::unique_ptr<DictBatch> dict_batch_;
+  /// tests/test_alloc_free.cpp pins this).
+  std::vector<CodecWorkspace> workspaces_;
 
   std::vector<PayloadRef> refs_;     // per staged block, append order
 
@@ -328,11 +307,10 @@ struct StreamConsumerOptions {
 };
 
 /// Chunked decoder: pulls compressed bytes on demand and decodes blocks
-/// in order with O(chunk + batch) memory.  Reads legacy (v2), indexed
-/// (v3), and dictionary (v4) streams -- the sequential payload walk
-/// needs no index, the v4 dictionary rebuilds adaptively from the
-/// payloads themselves, and trailing index/dictionary-section bytes are
-/// simply never requested from the source (it works on a pipe).
+/// in order with O(chunk + batch) memory.  Reads legacy (v2) and indexed
+/// (v3) streams -- the sequential payload walk needs no index, and the
+/// trailing index bytes are simply never requested from the source (it
+/// works on a pipe).
 class StreamConsumer {
  public:
   /// Reads and parses the global header immediately; throws
@@ -370,12 +348,8 @@ class StreamConsumer {
   std::size_t batch_blocks_ = 0;
   std::size_t max_payload_ = 0;  // sanity cap on one block's payload
 
-  /// Container codec state: the dictionary for v4 streams (rebuilt by a
-  /// serial pattern-prefix scan ahead of each batch, so the parallel
-  /// block decodes only read it) and the per-worker workspace pool.
-  std::unique_ptr<CodecContext> ctx_;
-
   // Reused across batches so steady-state decode allocates nothing.
+  std::vector<CodecWorkspace> workspaces_;  // one per decode worker
   std::vector<Extent> extents_;
 
   std::vector<std::uint8_t> buf_;

@@ -64,11 +64,9 @@ std::vector<double> read_shard_blocks(const std::string& dir,
     throw std::out_of_range("read_shard_blocks: range out of range");
   }
   if (info.version != kStreamVersionIndexed) {
-    // v2 shards have no offset table; v4 shards carry a pattern
-    // dictionary whose defining payloads may live anywhere in the shard,
-    // so a contiguous payload span is not self-contained.  Both fall
-    // back to one full read + the in-memory random-access path
-    // (BlockReader scans v2 / pre-decodes the v4 dictionary bases).
+    // v2 shards have no offset table: fall back to one full read + the
+    // in-memory random-access path (BlockReader rebuilds the index by a
+    // sequential scan).
     const auto bytes = read_rank_file(dir, basename, shard);
     return BlockReader(bytes).read_range(local_first, local_count);
   }
@@ -173,14 +171,6 @@ bool shard_is_complete(const std::string& dir, const std::string& basename,
     // declaring expected_blocks writes it final before any payload.  A
     // finished shard additionally carries an intact trailing footer and
     // a parsable offset table; a mid-dump truncation loses both.
-    if (info.version >= kStreamVersionDict) {
-      const auto tail = read_rank_file_slice(
-          dir, basename, shard, fsize - detail::kDictFooterBytes,
-          detail::kDictFooterBytes);
-      const detail::DictFooter footer =
-          detail::parse_dict_footer(tail, fsize);
-      return footer.num_blocks == expected_blocks;
-    }
     if (info.version == kStreamVersionIndexed) {
       const auto tail = read_rank_file_slice(
           dir, basename, shard, fsize - detail::kIndexFooterBytes,
@@ -241,11 +231,6 @@ ShardWriter::ShardWriter(const std::string& dir, const std::string& basename,
   if (info.version < kStreamVersionIndexed) {
     throw std::runtime_error(
         "ShardWriter: cannot append to an unindexed (v2) shard");
-  }
-  if (info.version >= kStreamVersionDict) {
-    throw std::runtime_error(
-        "ShardWriter: cannot append to a dictionary (v4) shard; its "
-        "dictionary was sealed at finish()");
   }
   if (fsize < detail::kGlobalHeaderBytes + detail::kIndexFooterBytes) {
     throw std::runtime_error("shard too short for index footer");

@@ -46,7 +46,7 @@ void write_dataset_manifest(const std::string& dir,
 
 /// True iff `<dir>/<basename>.<shard>` exists and parses as a finished
 /// container holding exactly `expected_blocks`: header block count
-/// final, trailing index/dict footer intact, offset table consistent.
+/// final, trailing index footer intact, offset table consistent.
 /// Any parse failure (missing file, mid-dump truncation, stale partial
 /// shard) returns false rather than throwing -- this is the resume
 /// probe, and an unreadable shard just means "redo it".

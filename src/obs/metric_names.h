@@ -33,14 +33,6 @@ inline constexpr std::string_view kCoreSimdBackend =
     "pastri_core_simd_backend";
 inline constexpr std::string_view kCoreSimdDecodeBackend =
     "pastri_core_simd_decode_backend";
-inline constexpr std::string_view kCoreDictLiterals =
-    "pastri_core_dict_literals_total";
-inline constexpr std::string_view kCoreDictExactRefs =
-    "pastri_core_dict_exact_refs_total";
-inline constexpr std::string_view kCoreDictDeltaRefs =
-    "pastri_core_dict_delta_refs_total";
-inline constexpr std::string_view kCoreDictBytes =
-    "pastri_core_dict_bytes";
 
 // ---- stream: batch pipeline --------------------------------------------
 inline constexpr std::string_view kStreamEncodeBatchNs =

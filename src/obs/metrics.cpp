@@ -32,10 +32,6 @@ constexpr StdMetric kStandardMetrics[] = {
     {kCoreEncodeBytes, StdType::Counter},
     {kCoreSimdBackend, StdType::Gauge},
     {kCoreSimdDecodeBackend, StdType::Gauge},
-    {kCoreDictLiterals, StdType::Counter},
-    {kCoreDictExactRefs, StdType::Counter},
-    {kCoreDictDeltaRefs, StdType::Counter},
-    {kCoreDictBytes, StdType::Gauge},
     {kStreamEncodeBatchNs, StdType::Histogram},
     {kStreamDecodeBatchNs, StdType::Histogram},
     {kStreamEncodeBatchBlocks, StdType::Histogram},

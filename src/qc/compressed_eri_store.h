@@ -70,8 +70,7 @@ class CompressedEriStore {
   /// bytes and count of *distinct* decoded vectors currently held.
   /// Decoded blocks are deduplicated by content: cache entries whose
   /// values are identical (common for symmetry-equivalent or
-  /// pattern-repetitive quartets, precisely the redundancy the v4
-  /// dictionary exploits on the compressed side) share one vector, so
+  /// pattern-repetitive quartets) share one vector, so
   /// warm-cache memory grows with the number of *distinct* blocks, not
   /// the number of cached quartets.
   CacheStats cache_stats() const { return cache_.stats(); }

@@ -281,10 +281,6 @@ void add_stats(Stats& into, const Stats& from) {
   }
   into.sparse_blocks += from.sparse_blocks;
   into.num_outliers += from.num_outliers;
-  into.dict_bits += from.dict_bits;
-  into.dict_entries += from.dict_entries;
-  into.dict_exact_refs += from.dict_exact_refs;
-  into.dict_delta_refs += from.dict_delta_refs;
 }
 
 /// Routes a stream of whole blocks into consecutive shard containers,

@@ -168,5 +168,35 @@ TEST(CompressedEriStore, MaterializeIndependentOfThreadCount) {
   }
 }
 
+TEST(CompressedEriStore, SharesIdenticalDecodedBlocks) {
+  // Two identical shells at the same center: quartets (0,0,0,0) and
+  // (1,1,1,1) decode to identical values, so the store's value dedup
+  // must hand out one shared vector for both cache entries.
+  BasisSet basis;
+  Shell sh;
+  sh.l = 1;
+  sh.center = {0, 0, 0};
+  sh.primitives = {{1.2, 0.7}, {0.4, 0.5}};
+  sh.normalize();
+  Shell other = sh;  // same class, different radial part
+  other.primitives = {{0.9, 1.0}};
+  other.normalize();
+  basis.shells = {sh, sh, other};
+  Params p;
+  const CompressedEriStore store(basis, p);
+  const auto a = store.shell_block(0, 0, 0, 0);
+  const auto b = store.shell_block(1, 1, 1, 1);
+  ASSERT_EQ(*a, *b);
+  EXPECT_EQ(a.get(), b.get()) << "identical decoded blocks not shared";
+  EXPECT_EQ(store.cache_stats().unique_blocks, 1u);
+  EXPECT_EQ(store.cache_stats().bytes, a->size() * sizeof(double));
+  // A genuinely different quartet gets its own storage.
+  const auto c = store.shell_block(2, 2, 2, 2);
+  ASSERT_NE(*c, *a);
+  EXPECT_NE(c.get(), a.get());
+  EXPECT_EQ(store.cache_stats().unique_blocks, 2u);
+  EXPECT_EQ(store.cache_stats().bytes, 2 * a->size() * sizeof(double));
+}
+
 }  // namespace
 }  // namespace pastri::qc

@@ -248,33 +248,29 @@ class EriPipelineTest : public ::testing::Test {
 };
 
 TEST_F(EriPipelineTest, BytesInvariantAcrossEveryKnob) {
-  for (const DictMode dict : {DictMode::Off, DictMode::On}) {
-    Params p;
-    p.dict = dict;
+  Params p;
+  qc::EriPipelineOptions seq;
+  seq.pipelined = false;
+  seq.async_io = false;
+  const auto golden = stream_bytes(p, seq);
+  ASSERT_FALSE(golden.empty());
 
-    qc::EriPipelineOptions seq;
-    seq.pipelined = false;
-    seq.async_io = false;
-    const auto golden = stream_bytes(p, seq);
-    ASSERT_FALSE(golden.empty());
-
-    const int max_threads = omp_get_max_threads();
-    for (const int threads : {1, max_threads}) {
-      omp_set_num_threads(threads);
-      for (const std::size_t batch : {std::size_t{1}, std::size_t{5},
-                                      std::size_t{0}}) {
-        for (const std::size_t depth : {std::size_t{1}, std::size_t{3}}) {
-          qc::EriPipelineOptions popt;
-          popt.batch_blocks = batch;
-          popt.queue_depth = depth;
-          EXPECT_EQ(stream_bytes(p, popt), golden)
-              << "dict=" << static_cast<int>(dict) << " threads=" << threads
-              << " batch=" << batch << " depth=" << depth;
-        }
+  const int max_threads = omp_get_max_threads();
+  for (const int threads : {1, max_threads}) {
+    omp_set_num_threads(threads);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{5},
+                                    std::size_t{0}}) {
+      for (const std::size_t depth : {std::size_t{1}, std::size_t{3}}) {
+        qc::EriPipelineOptions popt;
+        popt.batch_blocks = batch;
+        popt.queue_depth = depth;
+        EXPECT_EQ(stream_bytes(p, popt), golden)
+            << "threads=" << threads << " batch=" << batch
+            << " depth=" << depth;
       }
     }
-    omp_set_num_threads(max_threads);
   }
+  omp_set_num_threads(max_threads);
 }
 
 TEST_F(EriPipelineTest, SequentialBaselineIsAlsoSliceInvariant) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <string>
 
 #include "compressors/lossless/fpc.h"
 #include "compressors/lossless/lzss.h"
@@ -95,6 +96,57 @@ TEST(Fuzz, PastriDecompressorNeverCrashes) {
         return decompress(s);
       },
       300, 1);
+
+  // The retired v4 (pattern dictionary) format: a valid v3 stream whose
+  // version byte says 4 is rejected by every entry point, never parsed.
+  std::vector<std::uint8_t> v4 = stream;
+  v4[4] = 4;
+  const auto rejects_version = [](auto&& decode) {
+    try {
+      decode();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what()).find("unsupported stream version") !=
+             std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects_version([&] { (void)peek_info(v4); }));
+  EXPECT_TRUE(rejects_version([&] { const BlockReader reader(v4); }));
+  EXPECT_TRUE(rejects_version([&] { (void)decompress(v4); }));
+  EXPECT_TRUE(rejects_version([&] {
+    SpanSource src(v4);
+    const StreamConsumer consumer(src);
+  }));
+  const auto last_error_names_version = [] {
+    return std::string(pastri_last_error_message())
+               .find("unsupported stream version") != std::string::npos;
+  };
+  double* out = nullptr;
+  size_t count = 0;
+  EXPECT_EQ(pastri_decompress_buffer(v4.data(), v4.size(), &out, &count),
+            PASTRI_ERR_CORRUPT_STREAM);
+  EXPECT_TRUE(last_error_names_version());
+  EXPECT_EQ(out, nullptr);
+  // Overwrite the message so the peek check below sees its own.
+  (void)pastri_decompress_buffer(nullptr, 0, nullptr, nullptr);
+  ASSERT_FALSE(last_error_names_version());
+  EXPECT_EQ(pastri_peek(v4.data(), v4.size(), nullptr, nullptr, nullptr,
+                        nullptr),
+            PASTRI_ERR_CORRUPT_STREAM);
+  EXPECT_TRUE(last_error_names_version());
+  // As a shard: the resume probe calls it incomplete (redo), while the
+  // untouched v3 bytes in the same place are complete.
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() / "pastri_fuzz_v4_shard").string();
+  fs::create_directories(dir);
+  const std::size_t num_blocks = data.size() / 144;
+  io::write_rank_file(dir, "shard", 0, stream);
+  EXPECT_TRUE(io::shard_is_complete(dir, "shard", 0, num_blocks));
+  io::write_rank_file(dir, "shard", 0, v4);
+  EXPECT_FALSE(io::shard_is_complete(dir, "shard", 0, num_blocks));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(Fuzz, PastriRandomAccessNeverCrashes) {

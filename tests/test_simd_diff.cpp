@@ -459,26 +459,6 @@ TEST(SimdDiff, UnpackPairsMatchesBitReaderAcrossWidths) {
   }
 }
 
-TEST(SimdDiff, ApplyBaseMatchesScalarAcrossSizes) {
-  std::mt19937_64 rng(31337);
-  const auto tiers = vector_backends();
-  if (tiers.empty()) GTEST_SKIP() << "no vector backend on this host";
-  for (std::size_t n = 0; n <= 70; n += (n < 10 ? 1 : 13)) {
-    std::vector<std::int64_t> base(n), devs(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      base[i] = static_cast<std::int64_t>(rng());
-      devs[i] = static_cast<std::int64_t>(rng() % 1000) - 500;
-    }
-    std::vector<std::int64_t> want = devs;
-    simd::kScalarDecode.apply_base_i64(want.data(), base.data(), n);
-    for (Backend tier : tiers) {
-      std::vector<std::int64_t> got = devs;
-      decode_table(tier).apply_base_i64(got.data(), base.data(), n);
-      EXPECT_EQ(got, want) << simd::backend_name(tier) << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdDiff, ScatterEcqMatchesScalarAndRejectsOutOfRange) {
   std::mt19937_64 rng(2024);
   const auto tiers = vector_backends();
@@ -657,56 +637,47 @@ TEST(SimdDiff, FullStreamsBitIdenticalAcrossBackends) {
 
 /// End-to-end decode: every backend decodes the same stream to
 /// bitwise-identical doubles, across all five metrics and both bound
-/// modes, for plain (v3) and dictionary (v4) streams.  The dictionary
-/// stream is seeded with repeating blocks so ExactRef and DeltaRef
-/// payloads (the apply_base path) actually occur.
+/// modes.
 TEST(SimdDiff, FullStreamDecodeValueIdenticalAcrossBackends) {
   const auto tiers = vector_backends();
   if (tiers.empty()) GTEST_SKIP() << "no vector backend on this host";
   BackendGuard guard;
   const BlockSpec spec{6, 30};
-  for (DictMode dict : {DictMode::Off, DictMode::On}) {
-    for (ScalingMetric metric : {ScalingMetric::FR, ScalingMetric::ER,
-                                 ScalingMetric::AR, ScalingMetric::AAR,
-                                 ScalingMetric::IS}) {
-      for (BoundMode mode : {BoundMode::Absolute, BoundMode::BlockRelative}) {
-        Params p;
-        p.metric = metric;
-        p.bound_mode = mode;
-        p.error_bound = mode == BoundMode::Absolute ? 1e-10 : 1e-8;
-        p.dict = dict;
-        const std::size_t blocks = 40;
-        auto data = make_payload(blocks * spec.block_size(), 0,
-                                 static_cast<std::uint32_t>(
-                                     90 + static_cast<unsigned>(metric)),
-                                 /*with_edges=*/false);
-        // Repeat one block (exact and nearly) so the dictionary emits
-        // ExactRef and DeltaRef frames, plus one zero block.
-        for (std::size_t b = 4; b < blocks; b += 5) {
-          for (std::size_t i = 0; i < spec.block_size(); ++i) {
-            const double base = data[2 * spec.block_size() + i];
-            data[b * spec.block_size() + i] =
-                b % 2 == 0 ? base : base * (1.0 + 1e-13);
-          }
+  for (ScalingMetric metric : {ScalingMetric::FR, ScalingMetric::ER,
+                               ScalingMetric::AR, ScalingMetric::AAR,
+                               ScalingMetric::IS}) {
+    for (BoundMode mode : {BoundMode::Absolute, BoundMode::BlockRelative}) {
+      Params p;
+      p.metric = metric;
+      p.bound_mode = mode;
+      p.error_bound = mode == BoundMode::Absolute ? 1e-10 : 1e-8;
+      const std::size_t blocks = 40;
+      auto data = make_payload(blocks * spec.block_size(), 0,
+                               static_cast<std::uint32_t>(
+                                   90 + static_cast<unsigned>(metric)),
+                               /*with_edges=*/false);
+      // Exact and near repeats of one block, plus one zero block.
+      for (std::size_t b = 4; b < blocks; b += 5) {
+        for (std::size_t i = 0; i < spec.block_size(); ++i) {
+          const double base = data[2 * spec.block_size() + i];
+          data[b * spec.block_size() + i] =
+              b % 2 == 0 ? base : base * (1.0 + 1e-13);
         }
-        std::fill_n(data.begin() + spec.block_size(), spec.block_size(),
-                    0.0);
-        const auto stream = compress(data, spec, p);
-        simd::force_backend(Backend::Scalar);
-        const auto want = decompress(stream);
-        ASSERT_EQ(want.size(), data.size());
-        for (Backend tier : tiers) {
-          simd::force_backend(tier);
-          const auto got = decompress(stream);
-          ASSERT_EQ(got.size(), want.size());
-          ASSERT_EQ(std::memcmp(want.data(), got.data(),
-                                want.size() * sizeof(double)),
-                    0)
-              << simd::backend_name(tier) << " "
-              << scaling_metric_name(metric)
-              << " mode=" << static_cast<int>(mode)
-              << " dict=" << static_cast<int>(dict);
-        }
+      }
+      std::fill_n(data.begin() + spec.block_size(), spec.block_size(), 0.0);
+      const auto stream = compress(data, spec, p);
+      simd::force_backend(Backend::Scalar);
+      const auto want = decompress(stream);
+      ASSERT_EQ(want.size(), data.size());
+      for (Backend tier : tiers) {
+        simd::force_backend(tier);
+        const auto got = decompress(stream);
+        ASSERT_EQ(got.size(), want.size());
+        ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << simd::backend_name(tier) << " " << scaling_metric_name(metric)
+            << " mode=" << static_cast<int>(mode);
       }
     }
   }
