@@ -1,40 +1,39 @@
-// bench_omp_scaling - Block-level parallel scaling of PaSTRI
+// bench_parallel_scaling - Block-level parallel scaling of PaSTRI
 // (Section IV-C: "PaSTRI is highly parallelizable ... each block can be
 // compressed and decompressed completely independent from each other").
-// Sweeps OpenMP thread counts over both the one-shot drivers and the
+// Sweeps thread counts over both the one-shot drivers and the
 // bounded-memory streaming pipeline (StreamWriter / StreamConsumer); on
 // a single-core host the table shows flat times, on a multicore host
 // near-linear speedup.  The streaming pipeline must stay within a few
 // percent of batch -- it is the same encoder behind a chunked driver --
 // and its bytes must be identical at every thread count.
 //
-// Results are also written to BENCH_omp_scaling.json (one object per
+// Results are also written to BENCH_parallel_scaling.json (one object per
 // thread count) so the numbers are scriptable.
-#include <omp.h>
-
 #include <fstream>
 
 #include "bench_common.h"
+#include "core/parallel.h"
 #include "core/stream.h"
 #include "obs/metrics.h"
 
 using namespace pastri;
 
 int main() {
-  bench::print_header("Ablation -- OpenMP block-parallel scaling",
+  bench::print_header("Ablation -- block-parallel scaling",
                       "Section IV-C (parallelizability)");
 
   const auto ds = bench::load_bench_dataset({"glutamine", "(dd|dd)", 1500,
                                              250, 6000});
   const BlockSpec bs = bench::block_spec_of(ds);
   const double mb = static_cast<double>(ds.size_bytes()) / 1e6;
-  const int hw = omp_get_max_threads();
+  const int hw = default_threads();
   std::printf("dataset %.1f MB; hardware threads available: %d\n\n", mb,
               hw);
 
   std::printf("%-9s %12s %12s %12s %12s %12s\n", "threads", "comp MB/s",
               "decomp MB/s", "strm-c MB/s", "strm-d MB/s", "obs ovh %");
-  std::ofstream json(bench::artifact_path("BENCH_omp_scaling.json"));
+  std::ofstream json(bench::artifact_path("BENCH_parallel_scaling.json"));
   json << "[\n";
   std::vector<std::uint8_t> reference;
   bool first = true;
@@ -125,6 +124,6 @@ int main() {
   bench::print_rule();
   std::printf("compressed bytes are identical at every thread count and "
               "between the batch\nand streaming pipelines (block "
-              "independence); JSON in BENCH_omp_scaling.json.\n");
+              "independence); JSON in BENCH_parallel_scaling.json.\n");
   return 0;
 }

@@ -13,7 +13,7 @@
 //   2. Multi-process file-per-process dump/load (the paper's Bebop
 //      experiment, for real): spawn one rank per shard -- this binary
 //      re-executed with `--rank R --ranks N`, so each rank starts a
-//      clean process (and OpenMP runtime) like an MPI rank -- each rank
+//      clean process (and thread pool) like an MPI rank -- each rank
 //      plans the same deterministic dataset, computes exactly its
 //      shard's block range with EriBlockGenerator, and streams it
 //      through its own ShardWriter -- no coordination beyond the layout
@@ -147,10 +147,10 @@ int run_rank(const qc::Molecule& mol, const qc::DatasetOptions& opt,
 
 /// Spawn `ranks` processes (one shard each), each this binary re-run
 /// with `--rank R --ranks N --base NAME`, wait for all, write the
-/// manifest.  A rank never inherits the parent's threads or OpenMP
-/// pool: a fork()ed child of a process that has started libgomp blocks
-/// forever in its first parallel region.  Returns wall seconds, or a
-/// negative value on failure.
+/// manifest.  A rank never inherits the parent's threads: a fork()ed
+/// child of a process whose parallel_for pool has started would wait
+/// forever for helpers that fork did not copy.  Returns wall seconds, or
+/// a negative value on failure.
 double multiprocess_dump(const std::string& basename,
                          const qc::EriStreamMeta& meta, int ranks,
                          bool smoke) {

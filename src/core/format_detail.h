@@ -4,8 +4,6 @@
 // public API.
 #pragma once
 
-#include <omp.h>
-
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -78,12 +76,6 @@ inline constexpr std::size_t kGlobalHeaderBytes = kGlobalHeaderBits / 8;
 /// ByteSink::patch when the count was not declared up-front.
 inline constexpr std::size_t kHeaderNumBlocksOffset =
     (32 + 8 + 64 + 8 + 8 + 8 + 32 + 32) / 8;
-
-/// Map Params::num_threads (0 = library default) to a concrete OpenMP
-/// thread count, shared by every block-parallel driver.
-inline int resolve_threads(int num_threads) {
-  return num_threads > 0 ? num_threads : omp_get_max_threads();
-}
 
 /// Upper bound on one block's payload bytes: a valid block never exceeds
 /// ~16 bytes per value plus per-sub-block metadata.  Decoders reject a

@@ -14,8 +14,9 @@
 //   auto roundtrip  = pastri::decompress(compressed);
 //   // |values[i] - roundtrip[i]| <= 1e-10 for every i, guaranteed.
 //
-// Thread safety: `compress`/`decompress` parallelize over blocks with
-// OpenMP internally and are safe to call concurrently on distinct data.
+// Thread safety: `compress`/`decompress` parallelize over blocks with the
+// library's parallel_for (core/parallel.h) and are safe to call
+// concurrently on distinct data.
 #pragma once
 
 #include <array>
@@ -65,7 +66,10 @@ struct Params {
   ScalingMetric metric = ScalingMetric::ER;
   EcqTree tree = EcqTree::Tree5;
   bool allow_sparse = true;  ///< per-block sparse-ECQ representation
-  int num_threads = 0;       ///< 0 = OpenMP default
+  /// Block-parallel width.  0 = default: OMP_NUM_THREADS if set to a
+  /// positive integer, else std::thread::hardware_concurrency().  Above
+  /// kMaxThreads (512) the drivers throw std::invalid_argument.
+  int num_threads = 0;
 
   void validate() const {
     if (!(error_bound > 0.0)) {
@@ -159,7 +163,7 @@ StreamInfo peek_info(std::span<const std::uint8_t> stream);
 // are thin aliases for one-shot use, not separate code paths.
 
 /// Decompress a full stream produced by `compress` (block-parallel;
-/// `num_threads` as in Params::num_threads, 0 = OpenMP default).
+/// `num_threads` as in Params::num_threads, 0 = default width).
 /// `info` must be this stream's header as parsed by `peek_info`.
 /// Throws std::runtime_error on malformed input.
 std::vector<double> decompress(std::span<const std::uint8_t> stream,
@@ -181,7 +185,8 @@ class BlockReader {
  public:
   /// Throws std::runtime_error on malformed input (bad header, missing
   /// or inconsistent index footer, corrupt offset table).  `num_threads`
-  /// bounds read_range's block parallelism (0 = OpenMP default).
+  /// bounds read_range's block parallelism (as Params::num_threads,
+  /// 0 = default width).
   explicit BlockReader(std::span<const std::uint8_t> stream,
                        int num_threads = 0);
 
@@ -235,7 +240,7 @@ BlockIndex read_block_index(std::span<const std::uint8_t> stream);
 /// Reusable per-thread scratch for the block codec hot path.  Sized on
 /// first use for a given BlockSpec and reused for every block after, so
 /// steady-state compress/decompress loops perform zero heap allocations
-/// per block.  Each OpenMP worker in the batch drivers owns one; the
+/// per block.  Each parallel_for tid in the batch drivers owns one; the
 /// workspace-less compress_block/decompress_block overloads fall back to
 /// a thread-local instance.  Not thread-safe: one workspace per thread.
 struct CodecWorkspace {

@@ -36,7 +36,9 @@ typedef struct pastri_params {
   int metric;          /* 0=FR 1=ER 2=AR 3=AAR 4=IS */
   int tree;            /* 1..5 (Fig. 7 trees) */
   int allow_sparse;    /* nonzero = adaptive sparse ECQ */
-  int num_threads;     /* 0 = OpenMP default */
+  int num_threads;     /* 0 = default: OMP_NUM_THREADS if set to a
+                          positive integer, else the hardware thread
+                          count; above 512 -> PASTRI_ERR_INVALID_ARGUMENT */
 } pastri_params;
 
 /* Fill with the paper's defaults (EB=1e-10, ER, Tree 5, sparse on). */

@@ -5,8 +5,6 @@
 // wrappers over these, which keeps the two paths bit-identical.
 #include "core/stream.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -24,6 +22,7 @@
 
 #include "bitio/varint.h"
 #include "core/format_detail.h"
+#include "core/parallel.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -319,7 +318,7 @@ StreamWriter::StreamWriter(ByteSink& sink, const BlockSpec& spec,
         "StreamWriter: sink cannot patch the header; declare "
         "expected_blocks up-front for non-seekable sinks");
   }
-  const int nthreads = detail::resolve_threads(params_.num_threads);
+  const int nthreads = resolve_threads(params_.num_threads);
   batch_capacity_ =
       opt.batch_blocks ? opt.batch_blocks : auto_batch_blocks(spec_, nthreads);
   batch_.resize(batch_capacity_ * spec_.block_size());
@@ -367,7 +366,7 @@ StreamWriter::StreamWriter(ByteSink& sink, const StreamInfo& info,
   }
   bytes_emitted_ = index.num_blocks() == 0 ? detail::kGlobalHeaderBytes
                                            : index.payload_end();
-  const int nthreads = detail::resolve_threads(params_.num_threads);
+  const int nthreads = resolve_threads(params_.num_threads);
   batch_capacity_ =
       opt.batch_blocks ? opt.batch_blocks : auto_batch_blocks(spec_, nthreads);
   batch_.resize(batch_capacity_ * spec_.block_size());
@@ -424,7 +423,7 @@ void StreamWriter::flush_batch_() {
   obs::ScopedTimer batch_timer(metrics.encode_batch_ns);
   metrics.encode_batch_blocks.record(n);
   const std::size_t bs = spec_.block_size();
-  const int nthreads = detail::resolve_threads(params_.num_threads);
+  const int nthreads = resolve_threads(params_.num_threads);
 
   // Workers encode the staged blocks independently into their own
   // workspace (bit staging + payload arena, reused batch to batch); the
@@ -443,31 +442,16 @@ void StreamWriter::flush_batch_() {
     workspaces_[t].stats = Stats{};  // merged into stats_ after the join
   }
   refs_.resize(n);
-  std::exception_ptr error;
-#pragma omp parallel num_threads(nthreads)
-  {
-    CodecWorkspace& ws =
-        workspaces_[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(dynamic, 16)
-    for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(n); ++b) {
-      try {
-        ws.writer.restart();
-        compress_block(
-            std::span<const double>(batch_).subspan(
-                static_cast<std::size_t>(b) * bs, bs),
-            spec_, params_, ws.writer, &ws.stats, ws);
-        const auto payload = ws.writer.finish_view();
-        refs_[static_cast<std::size_t>(b)] = {
-            static_cast<std::size_t>(omp_get_thread_num()),
-            ws.arena.size(), payload.size()};
-        ws.arena.insert(ws.arena.end(), payload.begin(), payload.end());
-      } catch (...) {
-#pragma omp critical(pastri_stream_writer_error)
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
+  parallel_for(n, nthreads, 16, [&](int tid, std::size_t b) {
+    CodecWorkspace& ws = workspaces_[static_cast<std::size_t>(tid)];
+    ws.writer.restart();
+    compress_block(std::span<const double>(batch_).subspan(b * bs, bs),
+                   spec_, params_, ws.writer, &ws.stats, ws);
+    const auto payload = ws.writer.finish_view();
+    refs_[b] = {static_cast<std::size_t>(tid), ws.arena.size(),
+                payload.size()};
+    ws.arena.insert(ws.arena.end(), payload.begin(), payload.end());
+  });
   for (int t = 0; t < nthreads; ++t) {
     merge_block_stats(stats_, workspaces_[t].stats);
   }
@@ -567,7 +551,7 @@ StreamConsumer::StreamConsumer(ByteSource& source,
   params_.num_threads = opt.num_threads;
   remaining_ = info_.num_blocks;
 
-  const int nthreads = detail::resolve_threads(params_.num_threads);
+  const int nthreads = resolve_threads(params_.num_threads);
   batch_blocks_ = opt.batch_blocks
                       ? opt.batch_blocks
                       : auto_batch_blocks(info_.spec, nthreads);
@@ -643,29 +627,18 @@ std::size_t StreamConsumer::decode_batch_(std::span<double> out,
 
   const std::size_t bs = info_.spec.block_size();
   const std::size_t n = extents_.size();
-  const int nthreads = detail::resolve_threads(params_.num_threads);
+  const int nthreads = resolve_threads(params_.num_threads);
   if (workspaces_.size() < static_cast<std::size_t>(nthreads)) {
     workspaces_.resize(static_cast<std::size_t>(nthreads));
   }
 
-  std::exception_ptr error;
-#pragma omp parallel for schedule(dynamic, 16) num_threads(nthreads) \
-    shared(error) if (n > 1)
-  for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(n); ++b) {
-    try {
-      const Extent& e = extents_[static_cast<std::size_t>(b)];
-      bitio::BitReader r(std::span<const std::uint8_t>(buf_).subspan(
-          pos_ + e.off, e.len));
-      decompress_block(
-          r, info_.spec, params_,
-          out.subspan(static_cast<std::size_t>(b) * bs, bs),
-          workspaces_[static_cast<std::size_t>(omp_get_thread_num())]);
-    } catch (...) {
-#pragma omp critical(pastri_stream_consumer_error)
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
+  parallel_for(n, nthreads, 16, [&](int tid, std::size_t b) {
+    const Extent& e = extents_[b];
+    bitio::BitReader r(
+        std::span<const std::uint8_t>(buf_).subspan(pos_ + e.off, e.len));
+    decompress_block(r, info_.spec, params_, out.subspan(b * bs, bs),
+                     workspaces_[static_cast<std::size_t>(tid)]);
+  });
   pos_ += cur;
   remaining_ -= n;
   metrics.decode_batch_blocks.record(n);

@@ -7,13 +7,13 @@
 // with O(chunk) peak memory on both ends:
 //
 //   * `StreamWriter` accepts blocks (or arbitrarily sliced value chunks)
-//     incrementally, encodes them in OpenMP-parallel batches, writes the
+//     incrementally, encodes them in block-parallel batches, writes the
 //     container bytes to a `ByteSink` as each batch completes, and keeps
 //     only the per-block payload sizes (the delta-varint offset table)
 //     buffered until `finish()` emits the table and the PIDX footer.
 //
 //   * `StreamConsumer` pulls compressed bytes from a `ByteSource` in
-//     fixed-size chunks and decodes blocks in OpenMP-parallel batches,
+//     fixed-size chunks and decodes blocks in block-parallel batches,
 //     so the whole compressed stream never needs to be materialized --
 //     it works on a pipe.
 //
@@ -183,7 +183,7 @@ inline constexpr std::uint64_t kUnknownBlockCount = ~std::uint64_t{0};
 struct StreamWriterOptions {
   /// Blocks per encode batch -- the depth of the bounded producer/worker
   /// queue and the writer's peak block memory.  0 = auto: enough blocks
-  /// to keep every OpenMP worker busy, capped at a few MB of staging.
+  /// to keep every worker busy, capped at a few MB of staging.
   std::size_t batch_blocks = 0;
 
   /// Total block count declared up-front.  When known, the header is
@@ -299,10 +299,10 @@ struct StreamConsumerOptions {
   /// larger than the chunk.
   std::size_t chunk_bytes = 0;
 
-  /// Blocks per decode batch (OpenMP-parallel).  0 = auto.
+  /// Blocks per decode batch (block-parallel).  0 = auto.
   std::size_t batch_blocks = 0;
 
-  /// OpenMP threads for batch decode; 0 = library default.
+  /// Threads for batch decode, as Params::num_threads (0 = default).
   int num_threads = 0;
 };
 

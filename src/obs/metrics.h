@@ -19,7 +19,7 @@
 //     render as JSON or Prometheus text.
 //   * `set_enabled(false)` turns every update into a relaxed load + early
 //     return and makes `ScopedTimer` skip its clock reads, so a
-//     no-metrics baseline costs nothing measurable (bench_omp_scaling
+//     no-metrics baseline costs nothing measurable (bench_parallel_scaling
 //     proves the enabled-vs-disabled delta stays under 2%).
 //
 // Histograms use fixed power-of-two buckets over nanoseconds: bucket i

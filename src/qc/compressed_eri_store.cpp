@@ -5,6 +5,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "core/parallel.h"
 #include "core/stream.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -35,6 +36,9 @@ constexpr std::size_t kMinBatchQuartets = 64;
 
 CompressedEriStore::CompressedEriStore(const BasisSet& basis,
                                        const Params& params) {
+  // Resolved before any work, so an out-of-range width is rejected
+  // before the engine starts a thread.
+  const int threads = resolve_threads(params.num_threads);
   n_ = basis.num_basis_functions();
   shell_offset_.assign(basis.shells.size() + 1, 0);
   shell_l_.resize(basis.shells.size());
@@ -95,7 +99,7 @@ CompressedEriStore::CompressedEriStore(const BasisSet& basis,
       batch.resize(n * bs);
       engine.compute_quartets(
           std::span<const ShellQuartet>(cd.quartets).subspan(q0, n), batch,
-          params.num_threads);
+          threads);
       for (std::size_t i = 0; i < n; ++i) {
         writer.put_block(std::span<const double>(batch).subspan(i * bs, bs));
       }

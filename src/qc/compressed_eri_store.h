@@ -34,7 +34,9 @@ class CompressedEriStore {
   /// one PaSTRI stream per quartet class.  A BasisEriEngine (the
   /// cached-pair kernel) computes each class in fixed-size batches of
   /// quartets, in parallel on a team of `params.num_threads` (0 = the
-  /// OpenMP default); each batch is then appended to the class's
+  /// default width, see resolve_threads in core/parallel.h; above
+  /// kMaxThreads throws std::invalid_argument before any work); each
+  /// batch is then appended to the class's
   /// StreamWriter in quartet order.  The write side holds one batch,
   /// never a dense per-class tensor, and the stored bytes do not depend
   /// on the thread count.

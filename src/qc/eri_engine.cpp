@@ -6,8 +6,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include <omp.h>
-
+#include "core/parallel.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -34,12 +33,41 @@ const EngineMetrics& engine_metrics() {
   return m;
 }
 
-/// One reusable quartet workspace per OS thread.  OpenMP teams spawned
-/// by different host threads run on disjoint OS threads, so concurrent
-/// compute_range calls (the multi-producer pipeline) never share one.
+/// One reusable quartet workspace per OS thread.  Concurrent
+/// parallel_for callers (the multi-producer pipeline) get disjoint pool
+/// threads, so they never share one, and the pool keeps its threads, so
+/// the workspaces stay warm from one call to the next.
 EriWorkspace& tls_workspace() {
   thread_local EriWorkspace ws;
   return ws;
+}
+
+/// Per-tid partial sums of a parallel loop, added up after the join
+/// (one cache line each, so the tids never share one).
+struct alignas(64) Tally {
+  std::uint64_t boys = 0;
+  std::uint64_t computed = 0;
+};
+
+/// Every (a, b) pair of `sa` x `sb`, strided for its Schwarz diagonal,
+/// with the bound of each; one parallel task per row.
+void build_schwarz_pairs(const std::vector<Shell>& sa,
+                         const std::vector<Shell>& sb, BoysMode boys_mode,
+                         std::vector<ShellPairData>& pairs,
+                         std::vector<double>& bound) {
+  pairs.resize(sa.size() * sb.size());
+  bound.resize(sa.size() * sb.size());
+  parallel_for(sa.size(), resolve_threads(0), 1,
+               [&](int, std::size_t a) {
+                 EriWorkspace& ws = tls_workspace();
+                 ws.boys_mode = boys_mode;
+                 for (std::size_t b = 0; b < sb.size(); ++b) {
+                   ShellPairData sp(sa[a], sb[b]);
+                   sp.set_r_stride(2 * sp.l_sum());
+                   bound[a * sb.size() + b] = schwarz_bound(sp, ws);
+                   pairs[a * sb.size() + b] = std::move(sp);
+                 }
+               });
 }
 
 /// Sample `k` distinct values from [0, n) deterministically; returned
@@ -158,24 +186,8 @@ EriPlan plan_eri(const Molecule& mol, const DatasetOptions& opt) {
   // table between bra and ket.
   plan.boys_mode = opt.boys_mode;
   const EngineMetrics& metrics = engine_metrics();
-  plan.bra_pairs.resize(s0.size() * s1.size());
-  std::vector<double> q_bra(s0.size() * s1.size());
-#pragma omp parallel
-  {
-    EriWorkspace ws;
-    ws.boys_mode = opt.boys_mode;
-#pragma omp for schedule(dynamic)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(s0.size());
-         ++i) {
-      for (std::size_t j = 0; j < s1.size(); ++j) {
-        const std::size_t idx = static_cast<std::size_t>(i) * s1.size() + j;
-        ShellPairData sp(s0[static_cast<std::size_t>(i)], s1[j]);
-        sp.set_r_stride(2 * sp.l_sum());
-        q_bra[idx] = schwarz_bound(sp, ws);
-        plan.bra_pairs[idx] = std::move(sp);
-      }
-    }
-  }
+  std::vector<double> q_bra;
+  build_schwarz_pairs(s0, s1, opt.boys_mode, plan.bra_pairs, q_bra);
   metrics.pair_misses.add(plan.bra_pairs.size());
   std::vector<double> q_ket;
   if (&s2 == &s0 && &s3 == &s1) {
@@ -183,24 +195,7 @@ EriPlan plan_eri(const Molecule& mol, const DatasetOptions& opt) {
     q_ket = q_bra;
     metrics.pair_hits.add(plan.bra_pairs.size());
   } else {
-    plan.ket_pairs.resize(s2.size() * s3.size());
-    q_ket.resize(s2.size() * s3.size());
-#pragma omp parallel
-    {
-      EriWorkspace ws;
-      ws.boys_mode = opt.boys_mode;
-#pragma omp for schedule(dynamic)
-      for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(s2.size());
-           ++k) {
-        for (std::size_t l = 0; l < s3.size(); ++l) {
-          const std::size_t idx = static_cast<std::size_t>(k) * s3.size() + l;
-          ShellPairData sp(s2[static_cast<std::size_t>(k)], s3[l]);
-          sp.set_r_stride(2 * sp.l_sum());
-          q_ket[idx] = schwarz_bound(sp, ws);
-          plan.ket_pairs[idx] = std::move(sp);
-        }
-      }
-    }
+    build_schwarz_pairs(s2, s3, opt.boys_mode, plan.ket_pairs, q_ket);
     metrics.pair_misses.add(plan.ket_pairs.size());
   }
 
@@ -303,23 +298,24 @@ void EriBlockGenerator::compute_range(std::size_t first, std::size_t count,
   const bool timed = metrics.generate_batch_ns.active();
   std::chrono::steady_clock::time_point t0;
   if (timed) t0 = std::chrono::steady_clock::now();
-  std::uint64_t boys_total = 0;
-  std::uint64_t computed = 0;
-#pragma omp parallel reduction(+ : boys_total, computed)
-  {
+  const int team = resolve_threads(0);
+  std::vector<Tally> tally(static_cast<std::size_t>(team));
+  parallel_for(count, team, 1, [&](int tid, std::size_t b) {
+    const Item& it = plan.items[first + b];
+    if (it.screened) return;  // stays all-zero
     EriWorkspace& ws = tls_workspace();
     ws.boys_mode = plan.boys_mode;
     const std::uint64_t boys0 = ws.boys_evals;
-#pragma omp for schedule(dynamic)
-    for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(count); ++b) {
-      const Item& it = plan.items[first + static_cast<std::size_t>(b)];
-      if (it.screened) continue;  // stays all-zero
-      compute_eri_block(plan.bra_pair(it.i, it.j), plan.ket_pair(it.k, it.l),
-                        ws,
-                        out.subspan(static_cast<std::size_t>(b) * bs, bs));
-      ++computed;
-    }
-    boys_total += ws.boys_evals - boys0;
+    compute_eri_block(plan.bra_pair(it.i, it.j), plan.ket_pair(it.k, it.l),
+                      ws, out.subspan(b * bs, bs));
+    tally[static_cast<std::size_t>(tid)].boys += ws.boys_evals - boys0;
+    ++tally[static_cast<std::size_t>(tid)].computed;
+  });
+  std::uint64_t boys_total = 0;
+  std::uint64_t computed = 0;
+  for (const Tally& t : tally) {
+    boys_total += t.boys;
+    computed += t.computed;
   }
   metrics.quartets.add(count);
   metrics.boys_evals.add(boys_total);
@@ -415,14 +411,11 @@ BasisEriEngine::BasisEriEngine(const BasisSet& basis)
 
   // Every pair is built exactly once (a cache miss), unstrided.
   std::vector<ShellPairData> base(ns * ns);
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t a = 0; a < static_cast<std::ptrdiff_t>(ns); ++a) {
+  parallel_for(ns, resolve_threads(0), 1, [&](int, std::size_t a) {
     for (std::size_t b = 0; b < ns; ++b) {
-      base[static_cast<std::size_t>(a) * ns + b] =
-          ShellPairData(basis.shells[static_cast<std::size_t>(a)],
-                        basis.shells[b]);
+      base[a * ns + b] = ShellPairData(basis.shells[a], basis.shells[b]);
     }
-  }
+  });
   engine_metrics().pair_misses.add(base.size());
 
   // A pair of momentum p serves the quartets of total momentum p + q
@@ -483,10 +476,9 @@ void BasisEriEngine::compute_quartets(std::span<const ShellQuartet> quartets,
     throw std::invalid_argument(
         "BasisEriEngine: output span does not match the quartets");
   }
-  const int team = num_threads > 0 ? num_threads : omp_get_max_threads();
-  std::uint64_t boys_total = 0;
-#pragma omp parallel num_threads(team) reduction(+ : boys_total)
-  {
+  const int team = resolve_threads(num_threads);
+  std::vector<Tally> tally(static_cast<std::size_t>(team));
+  parallel_for(n, team, 1, [&](int tid, std::size_t k) {
     EriWorkspace& ws = tls_workspace();
     ws.boys_mode = BoysMode::Exact;
     const std::uint64_t boys0 = ws.boys_evals;
@@ -495,15 +487,13 @@ void BasisEriEngine::compute_quartets(std::span<const ShellQuartet> quartets,
     // neighbouring small blocks of different threads from sharing a
     // cache line through every accumulation.
     thread_local std::vector<double> block;
-#pragma omp for schedule(dynamic)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-      const auto k = static_cast<std::size_t>(i);
-      block.resize(offset[k + 1] - offset[k]);
-      compute(quartets[k], ws, block);
-      std::copy(block.begin(), block.end(), out.begin() + offset[k]);
-    }
-    boys_total += ws.boys_evals - boys0;
-  }
+    block.resize(offset[k + 1] - offset[k]);
+    compute(quartets[k], ws, block);
+    std::copy(block.begin(), block.end(), out.begin() + offset[k]);
+    tally[static_cast<std::size_t>(tid)].boys += ws.boys_evals - boys0;
+  });
+  std::uint64_t boys_total = 0;
+  for (const Tally& t : tally) boys_total += t.boys;
   const EngineMetrics& metrics = engine_metrics();
   metrics.quartets.add(n);
   metrics.boys_evals.add(boys_total);
@@ -514,21 +504,16 @@ std::vector<double> BasisEriEngine::schwarz_bounds() const {
   const Impl& im = *impl_;
   const std::size_t ns = im.ns;
   std::vector<double> q(ns * ns);
-#pragma omp parallel
-  {
+  parallel_for(ns, resolve_threads(0), 1, [&](int, std::size_t a) {
     EriWorkspace& ws = tls_workspace();
     ws.boys_mode = BoysMode::Exact;
-#pragma omp for schedule(dynamic)
-    for (std::ptrdiff_t a = 0; a < static_cast<std::ptrdiff_t>(ns); ++a) {
-      const auto sa = static_cast<std::size_t>(a);
-      for (std::size_t b = 0; b < ns; ++b) {
-        // The (ab|ab) table of total momentum 2 * l_ab has exactly the
-        // stride the Schwarz diagonal needs.
-        const int L = 2 * (im.shell_l[sa] + im.shell_l[b]);
-        q[sa * ns + b] = schwarz_bound(im.pair(sa, b, L), ws);
-      }
+    for (std::size_t b = 0; b < ns; ++b) {
+      // The (ab|ab) table of total momentum 2 * l_ab has exactly the
+      // stride the Schwarz diagonal needs.
+      const int L = 2 * (im.shell_l[a] + im.shell_l[b]);
+      q[a * ns + b] = schwarz_bound(im.pair(a, b, L), ws);
     }
-  }
+  });
   return q;
 }
 

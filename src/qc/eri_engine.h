@@ -81,7 +81,7 @@ struct EriStreamMeta {
 /// fork-based per-rank benchmarks are built on: rank r computes exactly
 /// the block range its shard covers, nothing else.
 ///
-/// compute_range() is OpenMP-parallel internally and safe to call
+/// compute_range() runs a parallel_for internally and is safe to call
 /// concurrently from multiple host threads on the same generator: the
 /// plan (shells, sample, cached shell-pair data) is immutable after
 /// construction and all per-quartet scratch lives in thread-local
@@ -110,7 +110,7 @@ class EriBlockGenerator {
 };
 
 /// Batched block-callback twin of `generate_eri_dataset`: plans the
-/// identical sampled dataset, computes quartet blocks in OpenMP batches
+/// identical sampled dataset, computes quartet blocks in parallel batches
 /// of `batch_blocks` (0 = auto) and delivers each finished batch to
 /// `emit` as one contiguous span of whole blocks starting at dataset
 /// block `first_block`, in dataset order.  Piping the emitted values
@@ -163,8 +163,9 @@ class BasisEriEngine {
                std::span<double> out) const;
 
   /// The blocks of `quartets`, back to back in list order, into `out`
-  /// (the sum of their block sizes), in an OpenMP schedule(dynamic) team
-  /// of `num_threads` (0 = the OpenMP default) using thread-local
+  /// (the sum of their block sizes), one quartet at a time on a dynamic
+  /// parallel_for of `num_threads` (0 = the default width, see
+  /// resolve_threads in core/parallel.h) using thread-local
   /// workspaces.  Advances the same quartet, Boys and pair-cache-hit
   /// counters as EriBlockGenerator::compute_range.  Throws
   /// std::out_of_range for a shell index outside the basis and
@@ -172,8 +173,8 @@ class BasisEriEngine {
   void compute_quartets(std::span<const ShellQuartet> quartets,
                         std::span<double> out, int num_threads = 0) const;
 
-  /// Schwarz bound of every shell pair, indexed a * ns + b, on an
-  /// OpenMP-default team.
+  /// Schwarz bound of every shell pair, indexed a * ns + b, on a
+  /// default-width parallel_for.
   std::vector<double> schwarz_bounds() const;
 
  private:

@@ -3,8 +3,6 @@
 // writers; the header sits with the other qc entry points it extends.
 #include "qc/eri_pipeline.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -15,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "io/file_per_process.h"
 #include "obs/metric_names.h"
@@ -52,13 +51,13 @@ std::uint64_t since_ns(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Chunk batch when the caller left it auto: the same sizing rule
-/// StreamWriter uses for its encode batches (keep every OpenMP worker
-/// busy, cap the staging buffer at a few MB), so one computed chunk
-/// fills exactly one encode batch.
+/// StreamWriter uses for its encode batches (keep every worker busy, cap
+/// the staging buffer at a few MB), so one computed chunk fills exactly
+/// one encode batch.
 std::size_t auto_chunk_blocks(std::size_t block_size) {
   const std::size_t bs = std::max<std::size_t>(1, block_size);
   const std::size_t want = std::max<std::size_t>(
-      64, 16 * static_cast<std::size_t>(omp_get_max_threads()));
+      64, 16 * static_cast<std::size_t>(resolve_threads(0)));
   const std::size_t mem_cap =
       std::max<std::size_t>(1, (std::size_t{8} << 20) / (bs * sizeof(double)));
   return std::min(want, mem_cap);
@@ -149,7 +148,7 @@ PumpStats pump_blocks(const EriBlockGenerator& gen, std::size_t first,
   workers.reserve(nprod);
   for (std::size_t pi = 0; pi < nprod; ++pi) {
     workers.emplace_back([&, pi] {
-      // Each producer thread gets its own OpenMP team inside
+      // Each producer thread gets its own parallel_for helpers inside
       // compute_range (the generator is safe for concurrent ranges), so
       // the quartet math stays parallel while the encode stage runs.
       EriProducerStats& ps = st.producers[pi];

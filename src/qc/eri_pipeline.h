@@ -7,9 +7,9 @@
 //
 //   compute   a producer thread fills double-buffered chunks of whole
 //             quartet blocks via EriBlockGenerator::compute_range
-//             (OpenMP-parallel inside the chunk)
+//             (parallel_for inside the chunk)
 //   encode    the caller's thread drains chunks in dataset order into a
-//             StreamWriter / ShardedDatasetWriter (OpenMP batch encode,
+//             StreamWriter / ShardedDatasetWriter (parallel batch encode,
 //             in-order serialization)
 //   io        an AsyncSink drain thread applies the container bytes to
 //             the file (ShardIo::async)
@@ -51,9 +51,9 @@ struct EriPipelineOptions {
   /// stream is claimed dynamically (each producer grabs the next unowned
   /// chunk index); a consumer-side reorder ring re-establishes dataset
   /// order, so the encoded bytes are identical for every producer count.
-  /// Each producer runs its own OpenMP team inside compute_range, so on
-  /// many-core hosts 1 is usually right; >1 pays off when per-chunk
-  /// OpenMP scaling has flattened, and for `dump_eri_sharded` it
+  /// Each producer gets its own parallel_for helpers inside
+  /// compute_range, so on many-core hosts 1 is usually right; >1 pays
+  /// off when per-chunk scaling has flattened, and for `dump_eri_sharded` it
   /// approximates one producer per shard's block range in flight.
   std::size_t producers = 1;
 

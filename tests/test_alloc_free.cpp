@@ -2,8 +2,9 @@
 // global operator new in this TU counts every heap allocation the
 // process makes; after a warm-up pass that sizes the CodecWorkspace and
 // the driver arenas, steady-state compress/decompress must allocate
-// nothing per block (workspace loops: exactly zero; streaming drivers:
-// amortized container growth only, far below one allocation per block).
+// nothing per block (workspace loops and a warm parallel_for: exactly
+// zero; streaming drivers: amortized container growth only, far below
+// one allocation per block).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 
 #include "bitio/bit_reader.h"
 #include "bitio/bit_writer.h"
+#include "core/parallel.h"
 #include "core/pastri.h"
 #include "core/simd/simd.h"
 #include "core/stream.h"
@@ -307,9 +309,11 @@ TEST(AllocFree, StreamConsumerChunkLoopAllocLeanOnEveryBackend) {
 /// (plan) and the thread-local workspaces are warm (first pass), the
 /// steady-state quartet loop draws everything -- HermiteR tensor,
 /// Schwarz scratch, term arenas -- from preallocated storage.  The
-/// bound is amortized rather than exactly zero only because the OpenMP
-/// runtime may allocate per-parallel-region bookkeeping (team/task
-/// structs), which is per compute_range call, not per block.
+/// bound is amortized rather than exactly zero because compute_range
+/// allocates its per-tid tallies once per call, and because dynamic
+/// scheduling on a loaded host may hand a pool thread its first block of
+/// this momentum class only after the warm-up pass, growing that
+/// thread's workspace then.
 TEST(AllocFree, EriGenerationSteadyStateAllocatesFarBelowPerBlock) {
   const qc::Molecule mol = qc::make_molecule("benzene");
   qc::DatasetOptions opt;
@@ -331,6 +335,24 @@ TEST(AllocFree, EriGenerationSteadyStateAllocatesFarBelowPerBlock) {
   const std::size_t allocs = allocations_since(mark);
   EXPECT_LT(allocs, measured / 8)
       << allocs << " allocations over " << measured << " generated blocks";
+}
+
+/// The executor under every parallel loop: once its helper threads are
+/// started, a 4-wide call allocates nothing -- the loop body is passed
+/// by reference, the call's state lives on the caller's stack, and a
+/// helper returns itself to the idle list without growing it.
+TEST(AllocFree, ParallelForWarmCallAllocatesNothing) {
+  std::vector<std::uint64_t> partial(4 * 8);  // one cache line per tid
+  const auto body = [&](int tid, std::size_t i) {
+    partial[static_cast<std::size_t>(tid) * 8] += i;
+  };
+  parallel_for(4096, 4, 16, body);  // starts the helpers
+  const std::size_t mark = g_alloc_count.load();
+  for (int round = 0; round < 16; ++round) parallel_for(4096, 4, 16, body);
+  EXPECT_EQ(allocations_since(mark), 0u);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t s : partial) sum += s;
+  EXPECT_EQ(sum, 17u * (4096u * 4095u / 2));
 }
 
 }  // namespace

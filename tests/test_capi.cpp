@@ -106,6 +106,31 @@ TEST(CApi, InvalidArgumentErrors) {
             PASTRI_ERR_INVALID_ARGUMENT);
 }
 
+TEST(CApi, ThreadCountAboveLimitIsInvalidArgument) {
+  pastri_params p;
+  pastri_params_init(&p);
+  p.num_threads = 1 << 20;  // far above the limit; no thread may start
+  const BlockSpec spec{4, 4};
+  const auto data = pastri::testutil::random_doubles(spec.block_size(), -1, 1);
+  unsigned char* stream = nullptr;
+  size_t size = 0;
+  EXPECT_EQ(pastri_compress_buffer(data.data(), data.size(), 4, 4, &p,
+                                   &stream, &size),
+            PASTRI_ERR_INVALID_ARGUMENT);
+  EXPECT_NE(std::string(pastri_last_error_message()).find("num_threads"),
+            std::string::npos)
+      << pastri_last_error_message();
+  EXPECT_EQ(stream, nullptr);
+
+  pastri_store* store = nullptr;
+  EXPECT_EQ(pastri_store_open_eri("benzene", &p, nullptr, &store),
+            PASTRI_ERR_INVALID_ARGUMENT);
+  EXPECT_NE(std::string(pastri_last_error_message()).find("num_threads"),
+            std::string::npos)
+      << pastri_last_error_message();
+  EXPECT_EQ(store, nullptr);
+}
+
 TEST(CApi, CorruptStreamError) {
   const auto data = pastri::testutil::random_doubles(16, -1, 1);
   pastri_params p;

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "core/parallel.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "qc/basis.h"
@@ -246,16 +247,14 @@ std::vector<double> oracle_blocks(const BasisSet& basis,
     offset[i + 1] = offset[i] + n;
   }
   std::vector<double> out(offset.back());
-#pragma omp parallel for schedule(dynamic)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(quartets.size());
-       ++i) {
-    const auto k = static_cast<std::size_t>(i);
-    const auto& [a, b, c, d] = quartets[k];
-    compute_eri_block(basis.shells[a], basis.shells[b], basis.shells[c],
-                      basis.shells[d],
-                      std::span<double>(out).subspan(
-                          offset[k], offset[k + 1] - offset[k]));
-  }
+  parallel_for(quartets.size(), resolve_threads(0), 1,
+               [&](int, std::size_t k) {
+                 const auto& [a, b, c, d] = quartets[k];
+                 compute_eri_block(basis.shells[a], basis.shells[b],
+                                   basis.shells[c], basis.shells[d],
+                                   std::span<double>(out).subspan(
+                                       offset[k], offset[k + 1] - offset[k]));
+               });
   return out;
 }
 

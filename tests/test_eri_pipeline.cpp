@@ -7,7 +7,6 @@
 // interchangeable with -- and resumable against -- the sequential
 // dense-dataset path.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <atomic>
 #include <chrono>
@@ -19,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/stream.h"
 #include "io/compressed_file.h"
@@ -255,9 +255,9 @@ TEST_F(EriPipelineTest, BytesInvariantAcrossEveryKnob) {
   const auto golden = stream_bytes(p, seq);
   ASSERT_FALSE(golden.empty());
 
-  const int max_threads = omp_get_max_threads();
+  const int max_threads = default_threads();
   for (const int threads : {1, max_threads}) {
-    omp_set_num_threads(threads);
+    set_default_threads(threads);
     for (const std::size_t batch : {std::size_t{1}, std::size_t{5},
                                     std::size_t{0}}) {
       for (const std::size_t depth : {std::size_t{1}, std::size_t{3}}) {
@@ -270,7 +270,7 @@ TEST_F(EriPipelineTest, BytesInvariantAcrossEveryKnob) {
       }
     }
   }
-  omp_set_num_threads(max_threads);
+  set_default_threads(max_threads);
 }
 
 TEST_F(EriPipelineTest, SequentialBaselineIsAlsoSliceInvariant) {
@@ -424,7 +424,7 @@ TEST_F(EriPipelineTest, PipelineMetricsAdvance) {
 TEST_F(EriPipelineTest, MultiProducerStreamBytesIdenticalAcrossMatrix) {
   // The chunk stream is claimed dynamically and reordered on the
   // consumer side, so the container bytes must not depend on the
-  // producer count, the OpenMP width inside each producer, or the queue
+  // producer count, the parallel width inside each producer, or the queue
   // depth -- only the sequential golden bytes exist.
   Params p;
   qc::EriPipelineOptions seq;
@@ -433,9 +433,9 @@ TEST_F(EriPipelineTest, MultiProducerStreamBytesIdenticalAcrossMatrix) {
   const auto golden = stream_bytes(p, seq);
   ASSERT_FALSE(golden.empty());
 
-  const int max_threads = omp_get_max_threads();
+  const int max_threads = default_threads();
   for (const int threads : {1, max_threads}) {
-    omp_set_num_threads(threads);
+    set_default_threads(threads);
     for (const std::size_t producers :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       for (const std::size_t depth : {std::size_t{1}, std::size_t{3}}) {
@@ -449,7 +449,7 @@ TEST_F(EriPipelineTest, MultiProducerStreamBytesIdenticalAcrossMatrix) {
       }
     }
   }
-  omp_set_num_threads(max_threads);
+  set_default_threads(max_threads);
 }
 
 TEST_F(EriPipelineTest, MultiProducerReportsPerProducerStats) {
